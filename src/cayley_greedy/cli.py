@@ -6,8 +6,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import fluid, greedy, peeling, stats, trees
 from .stats import DEFAULT_SEED
 
@@ -83,12 +81,7 @@ def cmd_peel(args) -> int:
             rule = _make_rule(args.alg, rng.child(1))
             steps, final = peeling.peel_markov(args.n, rule, rng.child(0))
             print(f"final tree: {final.to_line()}", file=sys.stderr)
-    lines = ["step,peeled,parent,recolored"]
-    lines += [
-        f"{i},{s.peeled},{s.parent},{int(s.recolored_to_blue)}"
-        for i, s in enumerate(steps, start=1)
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(peeling.format_steps_csv(steps), args.out)
     return 0
 
 
@@ -100,40 +93,22 @@ def _make_rule(name: str, rng: trees.RandomSource):
     raise SystemExit(f"unknown peeling rule {name!r}")
 
 
-def _outcome_rows(args, with_tree_stats: str | None) -> list[dict]:
-    master = trees.RandomSource(args.seed)
-    rows = []
-    for i in range(args.replicates):
-        child = master.child(i)
-        tree = trees.sample_uniform(args.n, child)
-        row: dict = {"n": args.n, "replicate": i}
-        if with_tree_stats == "matching":
-            order = child.generator.permutation(np.arange(1, args.n)).tolist()
-            row["M"] = greedy.greedy_matching(tree, order)
-        elif with_tree_stats == "max-is":
-            row["maxIS"] = greedy.max_independent_set(tree)
-        else:
-            out = greedy.greedy_peeling(tree)
-            row.update({"G": out.size, "theta": out.steps, "E": out.root_last})
-        rows.append(row)
-    return rows
-
-
 def _emit_outcomes(rows: list[dict], args) -> None:
     if args.format == "json":
         _emit("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows), args.out)
     else:
-        lines = [",".join(greedy.OUTCOME_FIELDS)]
-        lines += [
-            ",".join(str(row.get(k, "")) for k in greedy.OUTCOME_FIELDS)
-            for row in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(greedy.format_outcomes_csv(rows), args.out)
 
 
 def cmd_greedy(args) -> int:
     _note_seed(args)
-    _emit_outcomes(_outcome_rows(args, None), args)
+    master = trees.RandomSource(args.seed)
+    rows = []
+    for i in range(args.replicates):
+        out = greedy.greedy_peeling(trees.sample_uniform(args.n, master.child(i)))
+        rows.append({"n": args.n, "replicate": i,
+                     "G": out.size, "theta": out.steps, "E": out.root_last})
+    _emit_outcomes(rows, args)
     return 0
 
 
@@ -201,14 +176,9 @@ def cmd_clt(args) -> int:
     _note_seed(args)
     reports = stats.clt_experiment(args.n, args.replicates, args.seed)
     if args.format == "csv":
-        lines = [",".join(stats.REPORT_FIELDS)]
-        lines += [
-            ",".join(str(getattr(r, k)) for k in stats.REPORT_FIELDS)
-            for r in reports
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(stats.format_reports_csv(reports), args.out)
     else:
-        _emit("".join(r.to_json() + "\n" for r in reports), args.out)
+        _emit(stats.format_reports_jsonl(reports), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -226,18 +196,24 @@ def cmd_fluid(args) -> int:
     return 0
 
 
-def _add_common(p, n_default=None, with_replicates=False, with_jobs=False):
-    if n_default is None:
-        p.add_argument("--n", type=int, required=True)
-    else:
-        p.add_argument("--n", type=int, default=n_default)
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _add_common(p, with_replicates=False, with_jobs=False, with_format=False):
+    p.add_argument("--n", type=int, required=True)
     if with_replicates:
-        p.add_argument("--replicates", type=int, default=1000)
+        p.add_argument("--replicates", type=positive_int, default=1000)
     if with_jobs:
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    if with_format:
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-tree", help="sample trees, one per line")
     _add_common(p)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=positive_int, default=1)
     p.add_argument("--method", choices=["prufer", "pitman", "aldous-broder"],
                    default="prufer")
     p.set_defaults(func=cmd_sample_tree)
@@ -264,17 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.add_argument("--alg", choices=["unif", "ab", "greedy"], default="unif")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--fixed-tree", default=None, metavar="FILE")
-    group.add_argument("--markov", action="store_true", default=True)
+    p.add_argument("--fixed-tree", default=None, metavar="FILE",
+                   help="explore this tree instead of running the Markov exploration")
     p.set_defaults(func=cmd_peel)
 
     p = sub.add_parser("greedy", help="per-tree greedy outcomes")
-    _add_common(p, with_replicates=True)
+    _add_common(p, with_replicates=True, with_format=True)
     p.set_defaults(func=cmd_greedy)
 
     p = sub.add_parser("chain", help="fast status-chain outcomes, no trees")
-    _add_common(p, with_replicates=True)
+    _add_common(p, with_replicates=True, with_format=True)
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("exact-law", help="exact outcome law by dynamic programming")
@@ -291,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_symmetry)
 
     p = sub.add_parser("clt", help="Gaussian-limit verification reports")
-    _add_common(p, with_replicates=True)
+    _add_common(p, with_replicates=True, with_format=True)
     p.set_defaults(func=cmd_clt)
 
     p = sub.add_parser("matching", help="greedy matching density sweep")

@@ -3,10 +3,13 @@
 * :func:`greedy_reference` -- the textbook sweep: inspect vertices in a
   given order, activate undetermined ones, block their undetermined
   neighbours.
-* :func:`greedy_peeling` -- the rooted variant that inspects the smallest
-  undetermined label and touches only the inspected vertex and its parent.
-  On any fixed tree it constructs the same active set as the reference
-  sweep under label order.
+* the greedy peeling -- one walk (:func:`_greedy_walk`) that inspects the
+  smallest undetermined label and touches only the inspected vertex and
+  its parent.  The parent comes from one of two sources: a fixed tree
+  (:func:`greedy_peeling`, :func:`greedy_exploration_steps`), on which the
+  walk constructs the same active set as the reference sweep under label
+  order; or the exploration's one-step law, which needs no tree
+  (:func:`greedy_markov_peeling`).
 * the status chain -- on a uniform tree, the five counts (undetermined,
   active-white, blocked-white, active-blue, blocked-blue) form a Markov
   chain whose transitions close over the counts alone, so the law of the
@@ -24,18 +27,17 @@ law(size) == law((n - size) + indicator).
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .trees import CayleyTree, RandomSource, enumerate_all, tree_count
+from .peeling import PeelStep
+from .trees import CayleyTree, RandomSource, _cap, enumerate_all, tree_count
 
 #: largest size accepted by exact_chain_law unless overridden
 DEFAULT_LAW_CAP = 60
@@ -90,80 +92,85 @@ def greedy_reference(tree: CayleyTree, order: Sequence[int]) -> frozenset[int]:
     return frozenset(active)
 
 
-def greedy_peeling(
-    tree: CayleyTree, trace: bool = False
-) -> GreedyOutcome | tuple[GreedyOutcome, list[tuple[StatusCounts, StatusCounts]]]:
-    """Greedy construction as a peeling of the rooted tree.
+def _greedy_walk(
+    n: int,
+    parent: Callable[[int], int],
+    blue: list[bool],
+    steps: list[PeelStep] | None = None,
+    counts: list[tuple[StatusCounts, StatusCounts]] | None = None,
+) -> tuple[list[int], int, int]:
+    """The greedy peeling, whatever supplies the parents.
 
     At each step the smallest-label undetermined vertex v is inspected and
-    only v and its parent w change status:
+    only v and its parent w = ``parent(v)`` change status:
 
     * v == n: the root is the last undetermined vertex; it becomes active.
     * w undetermined: v becomes active, w becomes blocked.
     * w blocked: v becomes active.  w active: v becomes blocked.
 
-    The resulting active set equals ``greedy_reference(tree, 1..n)``.
-    Statuses never revert, so counting is monotone.
-
-    With ``trace=True``, also returns the per-step (before, after) pairs of
-    :class:`StatusCounts`.  Colors need no union-find here: a white
-    component of size >= 2 is rooted at a blocked vertex, which is never
-    inspected again, so only the inspected vertex itself can turn blue.
+    ``blue`` is the color table (only ``blue[n]`` set at the start); v
+    takes w's color.  Colors need no union-find: a white component of size
+    >= 2 is rooted at a blocked vertex, which is never inspected again, so
+    only the inspected vertex itself can turn blue.  ``steps`` collects a
+    PeelStep per non-root inspection and ``counts`` the (before, after)
+    :class:`StatusCounts` per inspection.  Returns (active vertices in
+    activation order, inspections, root-last flag).
     """
-    n = tree.n
-    status = [VertexStatus.UNDETERMINED] * (n + 1)
-    blue = [False] * (n + 1)
-    blue[n] = True
-    undetermined = n
-    counts = StatusCounts(n, 0, 0, 0, 0)
-    rows: list[tuple[StatusCounts, StatusCounts]] = []
+    status = bytearray(n + 1)  # VertexStatus values
+    ACTIVE, BLOCKED = int(VertexStatus.ACTIVE), int(VertexStatus.BLOCKED)
     active: list[int] = []
-    steps = 0
+    state = StatusCounts(n, 0, 0, 0, 0)
+    undetermined = n
+    inspections = 0
     root_last = 0
     ptr = 1
-    while undetermined > 0:
-        while status[ptr] != VertexStatus.UNDETERMINED:
+    while undetermined:
+        while status[ptr]:
             ptr += 1
         v = ptr
-        steps += 1
-        u, aw, bw, ab, bb = counts
+        inspections += 1
+        paired = 0
         if v == n:
             root_last = 1
-            status[v] = VertexStatus.ACTIVE
-            active.append(v)
-            undetermined -= 1
-            new = StatusCounts(u - 1, aw, bw, ab + 1, bb)
+            status[v] = ACTIVE
         else:
-            w = tree.parent_of(v)
+            w = parent(v)
+            if steps is not None:
+                steps.append(PeelStep(peeled=v, parent=w, recolored_to_blue=blue[w]))
             blue[v] = blue[w]
-            if status[w] == VertexStatus.UNDETERMINED:
-                status[v] = VertexStatus.ACTIVE
-                status[w] = VertexStatus.BLOCKED
-                active.append(v)
-                undetermined -= 2
-                if w == n:
-                    new = StatusCounts(u - 2, aw, bw, ab + 1, bb + 1)
-                else:
-                    new = StatusCounts(u - 2, aw + 1, bw + 1, ab, bb)
-            elif status[w] == VertexStatus.BLOCKED:
-                status[v] = VertexStatus.ACTIVE
-                active.append(v)
-                undetermined -= 1
-                if blue[v]:
-                    new = StatusCounts(u - 1, aw, bw, ab + 1, bb)
-                else:
-                    new = StatusCounts(u - 1, aw + 1, bw, ab, bb)
-            else:
-                status[v] = VertexStatus.BLOCKED
-                undetermined -= 1
-                if blue[v]:
-                    new = StatusCounts(u - 1, aw, bw, ab, bb + 1)
-                else:
-                    new = StatusCounts(u - 1, aw, bw + 1, ab, bb)
-        if trace:
-            rows.append((counts, new))
-        counts = new
-        assert sum(counts) == n, "status counts must always sum to n"
+            if not status[w]:
+                status[w] = BLOCKED
+                paired = w
+            status[v] = BLOCKED if status[w] == ACTIVE else ACTIVE
+        if status[v] == ACTIVE:
+            active.append(v)
+        undetermined -= 2 if paired else 1
+        if counts is not None:
+            # a determined vertex counts in column status + 2 * blue
+            new = [undetermined, *state[1:]]
+            new[status[v] + 2 * blue[v]] += 1
+            if paired:
+                new[BLOCKED + 2 * blue[paired]] += 1
+            after = StatusCounts(*new)
+            assert sum(after) == n, "status counts must always sum to n"
+            counts.append((state, after))
+            state = after
+    return active, inspections, root_last
+
+
+def greedy_peeling(
+    tree: CayleyTree, trace: bool = False
+) -> GreedyOutcome | tuple[GreedyOutcome, list[tuple[StatusCounts, StatusCounts]]]:
+    """Greedy construction as a peeling of the rooted tree (see :func:`_greedy_walk`).
+
+    The resulting active set equals ``greedy_reference(tree, 1..n)``.
+    With ``trace=True``, also returns the per-step (before, after) pairs of
+    :class:`StatusCounts`.
+    """
+    rows: list[tuple[StatusCounts, StatusCounts]] | None = [] if trace else None
+    active, steps, root_last = _greedy_walk(
+        tree.n, tree.parent_of, [False] * tree.n + [True], counts=rows
+    )
     outcome = GreedyOutcome(
         size=len(active), steps=steps, root_last=root_last,
         active_set=frozenset(active),
@@ -178,46 +185,11 @@ def greedy_exploration_steps(tree: CayleyTree):
     recolored) record per inspected vertex other than the root; inspecting
     the root adds no edge.
     """
-    from .peeling import PeelStep
-
-    n = tree.n
-    status = [VertexStatus.UNDETERMINED] * (n + 1)
-    blue = [False] * (n + 1)
-    blue[n] = True
-    undetermined = n
     steps: list[PeelStep] = []
-    active = 0
-    inspections = 0
-    root_last = 0
-    ptr = 1
-    while undetermined > 0:
-        while status[ptr] != VertexStatus.UNDETERMINED:
-            ptr += 1
-        v = ptr
-        inspections += 1
-        if v == n:
-            root_last = 1
-            status[v] = VertexStatus.ACTIVE
-            active += 1
-            undetermined -= 1
-            continue
-        w = tree.parent_of(v)
-        steps.append(PeelStep(peeled=v, parent=w, recolored_to_blue=blue[w]))
-        blue[v] = blue[w]
-        if status[w] == VertexStatus.UNDETERMINED:
-            status[v] = VertexStatus.ACTIVE
-            status[w] = VertexStatus.BLOCKED
-            active += 1
-            undetermined -= 2
-        elif status[w] == VertexStatus.BLOCKED:
-            status[v] = VertexStatus.ACTIVE
-            active += 1
-            undetermined -= 1
-        else:
-            status[v] = VertexStatus.BLOCKED
-            undetermined -= 1
-    outcome = GreedyOutcome(size=active, steps=inspections, root_last=root_last)
-    return steps, outcome
+    active, inspections, root_last = _greedy_walk(
+        tree.n, tree.parent_of, [False] * tree.n + [True], steps=steps
+    )
+    return steps, GreedyOutcome(size=len(active), steps=inspections, root_last=root_last)
 
 
 def greedy_markov_peeling(n: int, rng: RandomSource):
@@ -226,64 +198,32 @@ def greedy_markov_peeling(n: int, rng: RandomSource):
     The inspected vertex is always an isolated white vertex (component size
     one), so its parent is blue with probability (L + 1)/n in total, each
     blue vertex being equally likely, and every other white vertex has
-    probability 1/n.  Statuses update exactly as in
+    probability 1/n.  Statuses update by the same walk as
     :func:`greedy_peeling`; the exploration stops once nothing is
     undetermined, leaving a partial forest.
 
     Returns (steps, outcome); the outcome triple has the same law as
     :func:`simulate_status_chain`.
     """
-    from .peeling import PeelStep
-
     if n < 1:
         raise ValueError("need at least one vertex")
-    status = [VertexStatus.UNDETERMINED] * (n + 1)
-    blue = [False] * (n + 1)
-    blue[n] = True
+    blue = [False] * n + [True]
     blue_members = [n]
-    undetermined = n
-    steps: list[PeelStep] = []
-    active = 0
-    inspections = 0
-    root_last = 0
-    ptr = 1
-    while undetermined > 0:
-        while status[ptr] != VertexStatus.UNDETERMINED:
-            ptr += 1
-        v = ptr
-        inspections += 1
-        if v == n:
-            root_last = 1
-            status[v] = VertexStatus.ACTIVE
-            active += 1
-            undetermined -= 1
-            continue
+
+    def parent(v: int) -> int:
         ell = len(blue_members)
         if rng.uniform() < (ell + 1) / n:
             w = blue_members[rng.integer(0, ell)]
-        else:
-            while True:
-                w = rng.integer(1, n + 1)
-                if not blue[w] and w != v:
-                    break
-        steps.append(PeelStep(peeled=v, parent=w, recolored_to_blue=blue[w]))
-        if blue[w]:
-            blue[v] = True
-            blue_members.append(v)
-        if status[w] == VertexStatus.UNDETERMINED:
-            status[v] = VertexStatus.ACTIVE
-            status[w] = VertexStatus.BLOCKED
-            active += 1
-            undetermined -= 2
-        elif status[w] == VertexStatus.BLOCKED:
-            status[v] = VertexStatus.ACTIVE
-            active += 1
-            undetermined -= 1
-        else:
-            status[v] = VertexStatus.BLOCKED
-            undetermined -= 1
-    outcome = GreedyOutcome(size=active, steps=inspections, root_last=root_last)
-    return steps, outcome
+            blue_members.append(v)  # v takes its blue parent's color
+            return w
+        while True:
+            w = rng.integer(1, n + 1)
+            if not blue[w] and w != v:
+                return w
+
+    steps: list[PeelStep] = []
+    active, inspections, root_last = _greedy_walk(n, parent, blue, steps=steps)
+    return steps, GreedyOutcome(size=len(active), steps=inspections, root_last=root_last)
 
 
 # --------------------------------------------------------------------------
@@ -590,7 +530,7 @@ def exact_chain_law(n: int, cap: int | None = None) -> GreedyLaw:
     assembly.  Cross-checked against the full five-count chain and against
     exhaustive tree enumeration in the test suite.
     """
-    limit = cap if cap is not None else int(os.environ.get("CAYLEY_GREEDY_CAP", 0) or DEFAULT_LAW_CAP)
+    limit = cap if cap is not None else _cap(DEFAULT_LAW_CAP)
     if n > limit:
         raise ValueError(f"n={n} above the exact-law cap {limit}")
     if n < 1:
@@ -824,16 +764,19 @@ def max_independent_set(tree: CayleyTree) -> int:
 OUTCOME_FIELDS = ["n", "replicate", "G", "theta", "E", "M", "maxIS"]
 
 
-def write_outcomes_csv(rows: Iterable[dict], path: str) -> None:
+def format_outcomes_csv(rows: Iterable[dict]) -> str:
     """Outcome table with columns n,replicate,G,theta,E,M,maxIS.
 
     Rows may omit fields; absent fields are left empty.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=OUTCOME_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in OUTCOME_FIELDS})
+    lines = [",".join(OUTCOME_FIELDS)]
+    lines += [",".join(str(row.get(k, "")) for k in OUTCOME_FIELDS) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_outcomes_csv(rows: Iterable[dict], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_outcomes_csv(rows))
 
 
 def law_to_json_dict(law: GreedyLaw) -> dict:

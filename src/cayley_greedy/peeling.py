@@ -21,7 +21,6 @@ the exploration possible without drawing the tree first
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Protocol
@@ -208,8 +207,9 @@ class SmallestLabelRule:
 
 def _check_transition_weights(n: int, ell: int, m: int) -> None:
     # per-vertex weights: ell blue vertices at (ell+m)/(ell*n) each and
-    # n-ell-m compatible whites at 1/n each must total exactly 1
-    if (ell + m) + (n - ell - m) != n:
+    # n-ell-m compatible whites at 1/n each total exactly 1 only when the
+    # blue component and v's component are non-empty and fit in n vertices
+    if not (ell >= 1 and m >= 1 and ell + m <= n):
         raise AssertionError("transition probabilities do not sum to 1")
 
 
@@ -306,10 +306,16 @@ def first_branch_law(n: int) -> dict[int, Fraction]:
     return law
 
 
-def write_steps_csv(steps: Iterable[PeelStep], path: str) -> None:
+def format_steps_csv(steps: Iterable[PeelStep]) -> str:
     """Step trace with columns step,peeled,parent,recolored(0/1)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "peeled", "parent", "recolored"])
-        for i, s in enumerate(steps, start=1):
-            writer.writerow([i, s.peeled, s.parent, int(s.recolored_to_blue)])
+    lines = ["step,peeled,parent,recolored"]
+    lines += [
+        f"{i},{s.peeled},{s.parent},{int(s.recolored_to_blue)}"
+        for i, s in enumerate(steps, start=1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def write_steps_csv(steps: Iterable[PeelStep], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_steps_csv(steps))

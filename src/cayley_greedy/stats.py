@@ -8,7 +8,6 @@ never changes a result.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -149,18 +148,24 @@ REPORT_FIELDS = [
 ]
 
 
+def format_reports_jsonl(reports: Iterable[ExperimentReport]) -> str:
+    return "".join(r.to_json() + "\n" for r in reports)
+
+
+def format_reports_csv(reports: Iterable[ExperimentReport]) -> str:
+    lines = [",".join(REPORT_FIELDS)]
+    lines += [",".join(str(getattr(r, k)) for k in REPORT_FIELDS) for r in reports]
+    return "\n".join(lines) + "\n"
+
+
 def write_reports_jsonl(reports: Iterable[ExperimentReport], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            fh.write(r.to_json() + "\n")
+        fh.write(format_reports_jsonl(reports))
 
 
 def write_reports_csv(reports: Iterable[ExperimentReport], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
-        writer.writeheader()
-        for r in reports:
-            writer.writerow({k: getattr(r, k) for k in REPORT_FIELDS})
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_reports_csv(reports))
 
 
 # --------------------------------------------------------------------------

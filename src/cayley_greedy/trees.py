@@ -174,26 +174,6 @@ def prufer_from_string(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _root_edges_at(edges: list[tuple[int, int]], n: int) -> list[int]:
-    """Orient an undirected edge list towards root n; returns the parent table."""
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parents = [0] * (n - 1)
-    stack = [n]
-    seen = bytearray(n + 1)
-    seen[n] = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = 1
-                parents[y - 1] = x
-                stack.append(y)
-    return parents
-
-
 def prufer_decode(symbols: Sequence[int], n: int | None = None) -> CayleyTree:
     """Tree corresponding to a Pruefer sequence, rooted at n.
 
@@ -215,14 +195,16 @@ def prufer_decode(symbols: Sequence[int], n: int | None = None) -> CayleyTree:
         if not 1 <= s <= n:
             raise ValueError(f"symbol {s} outside 1..{n}")
         degree[s] += 1
-    edges: list[tuple[int, int]] = []
-    # classic pointer scan: the running leaf is always the smallest available
+    # classic pointer scan: the running leaf is always the smallest available;
+    # its neighbour s stays in the remaining tree, which holds n, so s is
+    # the leaf's parent in the tree rooted at n
+    parents = [0] * (n - 1)
     ptr = 1
     while degree[ptr] != 1:
         ptr += 1
     leaf = ptr
     for s in symbols:
-        edges.append((leaf, s))
+        parents[leaf - 1] = s
         degree[s] -= 1
         if degree[s] == 1 and s < ptr:
             leaf = s
@@ -231,9 +213,9 @@ def prufer_decode(symbols: Sequence[int], n: int | None = None) -> CayleyTree:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    # vertex n is never consumed in the loop, so it pairs with the last leaf
-    edges.append((leaf, n))
-    return CayleyTree(n, _root_edges_at(edges, n))
+    # vertex n is never consumed in the loop, so it is the last leaf's parent
+    parents[leaf - 1] = n
+    return CayleyTree(n, parents)
 
 
 def prufer_encode(tree: CayleyTree) -> list[int]:

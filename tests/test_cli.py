@@ -50,7 +50,7 @@ def test_peel_markov_ab(capsys):
 def test_peel_markov_greedy(capsys):
     code, out = run(["peel", "--n", "6", "--alg", "greedy", "--seed", "12"], capsys)
     assert code == 0
-    assert out.startswith("step,peeled,parent,recolored")
+    assert out == "step,peeled,parent,recolored\n1,1,5,0\n2,2,5,0\n3,3,6,1\n4,4,2,0\n"
 
 
 def test_peel_fixed_tree(tmp_path, capsys):
@@ -196,4 +196,30 @@ def test_bad_flags_exit_two():
 def test_missing_mode_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["verify-symmetry", "--n", "5"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["greedy", "--n", "5", "--replicates", "-3"],
+    ["sample-tree", "--n", "5", "--count", "-2"],
+    ["matching", "--n", "50", "--replicates", "2", "--jobs", "0"],
+])
+def test_nonpositive_counts_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("must be a positive integer, got "
+                                                  + argv[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3", "--format", "json"],
+    ["exact-law", "--n", "3", "--format", "csv"],
+    ["peel", "--n", "5", "--markov"],
+])
+def test_flags_that_do_nothing_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
     assert err.value.code == 2

@@ -5,6 +5,8 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_greedy import (
     CayleyTree,
@@ -169,6 +171,24 @@ def test_exploration_steps_match_outcome():
         assert len({s.peeled for s in steps}) == len(steps)
 
 
+@st.composite
+def _pruefer_trees(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    symbols = draw(st.lists(st.integers(1, n), min_size=max(n - 2, 0),
+                            max_size=max(n - 2, 0)))
+    return prufer_decode(symbols, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pruefer_trees())
+def test_peeling_walks_agree_on_random_trees(t):
+    out = greedy_peeling(t)
+    assert out.active_set == greedy_reference(t, range(1, t.n + 1))
+    _, explored = greedy_exploration_steps(t)
+    assert (explored.size, explored.steps, explored.root_last) == \
+        (out.size, out.steps, out.root_last)
+
+
 # ---------------------------------------------------------------------------
 # Status-chain transitions against the tree-backed construction
 # ---------------------------------------------------------------------------
@@ -287,6 +307,36 @@ def test_greedy_markov_peeling_matches_exact_law():
         assert len(steps) == out.steps - out.root_last
 
 
+# (n, seed) -> ((peeled, parent, recolored) per step, (size, steps, root_last));
+# pins how greedy_markov_peeling consumes its random stream
+MARKOV_GOLDEN = {
+    (6, 12): ([(1, 6, 1), (2, 5, 0), (3, 4, 0)], (3, 3, 0)),
+    (9, 1): (
+        [(1, 9, 1), (2, 9, 1), (3, 5, 0), (4, 9, 1), (6, 1, 1), (7, 2, 1), (8, 5, 0)],
+        (5, 7, 0),
+    ),
+    (12, 5): (
+        [(1, 2, 0), (3, 8, 0), (4, 3, 0), (5, 2, 0), (6, 4, 0), (7, 6, 0),
+         (9, 11, 0), (10, 12, 1)],
+        (6, 8, 0),
+    ),
+    (20, 31): (
+        [(1, 11, 0), (2, 11, 0), (3, 7, 0), (4, 7, 0), (5, 8, 0), (6, 9, 0),
+         (10, 8, 0), (12, 10, 0), (13, 8, 0), (14, 5, 0), (15, 7, 0), (16, 1, 0),
+         (17, 14, 0), (18, 5, 0), (19, 12, 0)],
+        (12, 16, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(MARKOV_GOLDEN))
+def test_greedy_markov_peeling_golden(n, seed):
+    steps, out = greedy_markov_peeling(n, RandomSource(seed))
+    expected_steps, expected_out = MARKOV_GOLDEN[(n, seed)]
+    assert [(s.peeled, s.parent, int(s.recolored_to_blue)) for s in steps] == expected_steps
+    assert (out.size, out.steps, out.root_last, out.active_set) == (*expected_out, None)
+
+
 # ---------------------------------------------------------------------------
 # Exact law
 # ---------------------------------------------------------------------------
@@ -329,6 +379,17 @@ def test_exact_law_cap():
         exact_chain_law(61)
     law = exact_chain_law(61, cap=61)
     assert law.n == 61
+
+
+@pytest.mark.parametrize("value", ["0", "4"])
+def test_cap_env_var_read_the_same_by_dp_and_enumeration(value, monkeypatch):
+    monkeypatch.setenv("CAYLEY_GREEDY_CAP", value)
+    n = int(value) + 1
+    with pytest.raises(ValueError):
+        next(iter(enumerate_all(n)))
+    with pytest.raises(ValueError):
+        exact_chain_law(n)
+    assert exact_chain_law(n, cap=n).n == n
 
 
 def test_symmetry_exact_small():
@@ -454,6 +515,7 @@ def test_write_outcomes_csv(tmp_path):
     assert lines[0] == "n,replicate,G,theta,E,M,maxIS"
     assert lines[1] == "3,0,2,2,1,,"
     assert lines[2] == "3,1,,,,1,"
+    assert b"\r" not in path.read_bytes()  # LF line ends, as the CLI prints
 
 
 def test_law_to_json_dict():

@@ -22,7 +22,7 @@ from cayley_greedy import (
     sample_uniform,
     tree_count,
 )
-from cayley_greedy.peeling import write_steps_csv
+from cayley_greedy.peeling import _check_transition_weights, write_steps_csv
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
 
 PATH_2_1_3 = CayleyTree(3, (3, 1))  # edges 2-1 and 1-3, rooted at 3
@@ -309,6 +309,14 @@ def test_walk_law_proportional_to_branch_law():
             assert walk[k] == Fraction(n - 1, n) * branch[k - 1]
 
 
+def test_transition_weight_check_rejects_impossible_sizes():
+    _check_transition_weights(5, 1, 4)
+    _check_transition_weights(5, 4, 1)
+    for ell, m in ((3, 3), (0, 2), (2, 0)):
+        with pytest.raises(AssertionError):
+            _check_transition_weights(5, ell, m)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -321,3 +329,4 @@ def test_write_steps_csv(tmp_path):
     assert lines[0] == "step,peeled,parent,recolored"
     assert lines[1] == "1,1,3,1"
     assert len(lines) == 3
+    assert b"\r" not in path.read_bytes()  # LF line ends, as the CLI prints

@@ -140,6 +140,7 @@ def test_report_serialization(tmp_path):
     lines = cpath.read_text().strip().splitlines()
     assert lines[0].startswith("n,replicates,seed,statistic")
     assert len(lines) == 2
+    assert b"\r" not in cpath.read_bytes()  # LF line ends, as the CLI prints
 
 
 # ---------------------------------------------------------------------------
