@@ -55,7 +55,7 @@ def cmd_enumerate(args) -> int:
 def _load_single_tree(path: str) -> trees.CayleyTree:
     loaded = trees.read_trees(path)
     if len(loaded) != 1:
-        raise SystemExit(f"expected exactly one tree in {path}, found {len(loaded)}")
+        raise ValueError(f"expected exactly one tree in {path}, found {len(loaded)}")
     return loaded[0]
 
 
@@ -72,7 +72,7 @@ def cmd_peel(args) -> int:
             steps = peeling.peel_fixed_tree(tree, rule)
     else:
         if args.n is None:
-            raise SystemExit("--n is required for a Markov exploration")
+            raise ValueError("--n is required for a Markov exploration")
         if args.alg == "greedy":
             steps, outcome = greedy.greedy_markov_peeling(args.n, rng.child(0))
             print(f"size={outcome.size} steps={outcome.steps} "
@@ -90,7 +90,7 @@ def _make_rule(name: str, rng: trees.RandomSource):
         return peeling.UniformRule(rng)
     if name == "ab":
         return peeling.SmallestLabelRule()
-    raise SystemExit(f"unknown peeling rule {name!r}")
+    raise ValueError(f"unknown peeling rule {name!r}")
 
 
 def _emit_outcomes(rows: list[dict], args) -> None:
@@ -287,9 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # bad input (values, missing or unwritable files) exits 2; exit 1 is
+    # kept for a verification that ran and failed
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         parser.exit(2, f"{parser.prog}: error: {err}\n")
 
 

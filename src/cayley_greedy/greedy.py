@@ -524,68 +524,90 @@ def exact_chain_law(n: int, cap: int | None = None) -> GreedyLaw:
     blue-count): white counts determine each other through the total, and
     given the number of blue determined vertices the split into blue
     active / blue blocked is an independent exchange process
-    (:func:`_blue_split_weights`).  Stepping synchronously keeps every live
-    weight an integer over the common denominator n^step, so the whole DP
-    runs in exact integer arithmetic; Fractions appear only in the final
-    assembly.  Cross-checked against the full five-count chain and against
-    exhaustive tree enumeration in the test suite.
+    (:func:`_blue_split_weights`).  Live states are rows: one list of
+    integer weights indexed by the active-white count per (undetermined,
+    blue-count) pair, so each transition is a shifted add along a row.
+    Stepping synchronously keeps every weight an integer over the common
+    denominator n^step.  The assembly stays in integers too: every joint
+    key with stopping step theta sums its numerator over the one
+    denominator n^theta * (cmax - 1)!, where cmax is the largest blue
+    count, and a Fraction is built once per joint key.  Cross-checked
+    against the full five-count chain and against exhaustive tree
+    enumeration in the test suite.
     """
     limit = cap if cap is not None else _cap(DEFAULT_LAW_CAP)
     if n > limit:
         raise ValueError(f"n={n} above the exact-law cap {limit}")
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n == 1:
-        return GreedyLaw(1, {(1, 1, 1): Fraction(1)})
+    # live rows: (undetermined, blue_count) -> weights by active_white, over
+    # the denominator n^step; a row is made only when it gets a nonzero
+    # weight.  blue_count == 1 only in the root-last terminal row.
+    states: dict[tuple[int, int], list[int]] = {(n, 0): [1]}
+    absorbed: list[tuple[int, int, list[int]]] = []  # (blue_count, step, row)
+    nxt: dict[tuple[int, int], list[int]] = {}
 
-    # states: (undetermined, active_white, blue_count) -> integer weight,
-    # denominator n^step; blue_count == 1 only in the root-last terminal state
-    states: dict[tuple[int, int, int], int] = {(n, 0, 0): 1}
-    absorbed: dict[tuple[int, int, int], int] = defaultdict(int)
+    def row(u: int, c: int) -> list[int]:
+        r = nxt.get((u, c))
+        if r is None:
+            r = nxt[(u, c)] = [0] * (n - u - c + 1)
+        return r
+
     step = 0
     while states:
         step += 1
-        nxt: dict[tuple[int, int, int], int] = defaultdict(int)
-        for (u, aw, c), w in states.items():
-            bw = n - u - aw - c
+        nxt = {}
+        for (u, c), ws in states.items():
+            # the columns of chain_transitions, times n
             if c == 0:
-                if u == 1:
-                    absorbed[(aw, 1, step)] += w * n
+                if u == 1:  # the root activates last
+                    nxt[(0, 1)] = [w * n for w in ws]
                     continue
-                if u > 2:
-                    nxt[(u - 2, aw + 1, 0)] += w * (u - 2)
-                nxt[(u - 2, aw, 2)] += w * 2
-                if aw:
-                    nxt[(u - 1, aw, 0)] += w * aw
-                if bw:
-                    nxt[(u - 1, aw + 1, 0)] += w * bw
+                pair_w, blue, blue_w = u - 2, row(u - 2, 2), 2  # root connects
             else:
-                if u >= 2:
-                    nxt[(u - 2, aw + 1, c)] += w * (u - 1)
+                pair_w, blue, blue_w = u - 1, row(u - 1, c + 1), c + 1
+            pair = row(u - 2, c) if pair_w else None
+            free = n - u - c  # active_white + blocked_white
+            white = row(u - 1, c) if free else None
+            for aw, w in enumerate(ws):
+                if not w:
+                    continue
+                if pair is not None:
+                    pair[aw + 1] += w * pair_w
                 if aw:
-                    nxt[(u - 1, aw, c)] += w * aw
-                if bw:
-                    nxt[(u - 1, aw + 1, c)] += w * bw
-                nxt[(u - 1, aw, c + 1)] += w * (c + 1)
+                    white[aw] += w * aw
+                if free - aw:
+                    white[aw + 1] += w * (free - aw)
+                blue[aw] += w * blue_w
         states = {}
-        for (u, aw, c), w in nxt.items():
+        for (u, c), ws in nxt.items():
             if u == 0:
-                absorbed[(aw, c, step)] += w
+                absorbed.append((c, step, ws))
             else:
-                states[(u, aw, c)] = w
+                states[(u, c)] = ws
 
-    cmax = max(c for (_, c, _) in absorbed)
-    split = _blue_split_weights(max(cmax, 2) + 1)
-    joint: dict[tuple[int, int, int], Fraction] = defaultdict(Fraction)
-    for (aw, c, theta), w in absorbed.items():
-        mass = Fraction(w, n ** theta)
-        if c == 1:
-            joint[(aw + 1, theta, 1)] += mass
-        else:
-            denom = math.factorial(c - 1)
-            for a, wa in split[c].items():
-                joint[(aw + a, theta, 0)] += mass * Fraction(wa, denom)
-    return GreedyLaw(n, dict(joint))
+    cmax = max(c for c, _, _ in absorbed)
+    top = math.factorial(cmax - 1)
+    split = _blue_split_weights(cmax)
+    # scaled[c]: blue-active count -> weight over the common (cmax - 1)!
+    scaled = {
+        c: [(a, wa * (top // math.factorial(c - 1))) for a, wa in table.items()]
+        for c, table in split.items()
+    }
+    scaled[1] = [(1, top)]  # root last: the root itself is the one blue active
+    # numer[(theta, e)][g]: numerator of P(size g, steps theta, root_last e)
+    numer: dict[tuple[int, int], list[int]] = {}
+    for c, theta, ws in absorbed:
+        acc = numer.setdefault((theta, int(c == 1)), [0] * (n + 1))
+        nonzero = [(aw, w) for aw, w in enumerate(ws) if w]
+        for a, s in scaled[c]:
+            for aw, w in nonzero:
+                acc[aw + a] += w * s
+    return GreedyLaw(n, {
+        (g, theta, e): Fraction(num, n ** theta * top)
+        for (theta, e), acc in numer.items()
+        for g, num in enumerate(acc) if num
+    })
 
 
 def reference_chain_law(n: int) -> GreedyLaw:

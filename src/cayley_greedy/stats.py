@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -291,6 +292,11 @@ def _ratio_values(kind: str, n: int, seed: int, start: int, stop: int) -> list[f
     return values
 
 
+def sweep_workers(jobs: int, replicates: int, cpus: int | None) -> int:
+    """Worker processes for a sweep: no more than the replicates or the CPUs."""
+    return max(1, min(jobs, replicates, cpus or 1))
+
+
 def tree_sweep_experiment(
     kind: str,
     n: int,
@@ -311,14 +317,15 @@ def tree_sweep_experiment(
     }
     if kind not in targets:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    if jobs <= 1:
+    workers = sweep_workers(jobs, replicates, os.cpu_count())
+    if workers == 1:
         values = _ratio_values(kind, n, seed, 0, replicates)
     else:
-        bounds = np.linspace(0, replicates, jobs + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        bounds = np.linspace(0, replicates, workers + 1, dtype=int)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(
                 _ratio_values,
-                [kind] * jobs, [n] * jobs, [seed] * jobs,
+                [kind] * workers, [n] * workers, [seed] * workers,
                 bounds[:-1].tolist(), bounds[1:].tolist(),
             )
         values = [v for chunk in chunks for v in chunk]

@@ -1,6 +1,9 @@
 """Command-line interface: flags, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -223,3 +226,40 @@ def test_flags_that_do_nothing_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+def _bad_input_cases(tmp_path):
+    two = tmp_path / "two.txt"
+    two.write_text("3;3,1\n3;3,2\n")
+    return {
+        "missing tree file": ["peel", "--fixed-tree", str(tmp_path / "missing.txt")],
+        "two trees": ["peel", "--fixed-tree", str(two), "--alg", "ab"],
+        "peel without n": ["peel", "--alg", "ab"],
+        "unwritable out": ["exact-law", "--n", "3",
+                           "--out", str(tmp_path / "no-such-dir" / "law.json")],
+    }
+
+
+@pytest.mark.parametrize("case", ["missing tree file", "two trees",
+                                  "peel without n", "unwritable out"])
+def test_bad_input_exits_two_with_one_line(case, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(_bad_input_cases(tmp_path)[case])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cayley-greedy: error: ")
+
+
+def test_bad_input_prints_no_traceback(tmp_path):
+    argv = _bad_input_cases(tmp_path)["missing tree file"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cayley_greedy.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cayley-greedy: error: ")

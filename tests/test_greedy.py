@@ -1,6 +1,9 @@
 """Greedy construction: reference sweep, peeling variant, status chain."""
 
+import hashlib
 import itertools
+import json
+import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -31,6 +34,7 @@ from cayley_greedy import (
     verify_symmetry_exact,
 )
 from cayley_greedy.greedy import (
+    _blue_split_weights,
     greedy_exploration_steps,
     greedy_markov_peeling,
     law_to_json_dict,
@@ -369,9 +373,35 @@ def test_exact_law_equals_enumeration(n):
     assert exact_chain_law(n).joint == enumeration_law(n).joint
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 12])
 def test_exact_law_equals_reference_chain(n):
     assert exact_chain_law(n).joint == reference_chain_law(n).joint
+
+
+#: SHA-256 of the sorted-key JSON of law_to_json_dict(exact_chain_law(n)),
+#: captured from the tuple-keyed DP that assembled the law in Fractions
+EXACT_LAW_SHA256 = {
+    25: "53711ae8c93034de55f4e8d9cbdf57416f0d69a20ea4b1a4251ce69b9161f457",
+    60: "3f7886cc0e49596f1bad89794205cb64953dc78410ce23f22e84f390e8d17b5b",
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXACT_LAW_SHA256))
+def test_exact_law_golden_digest(n):
+    law = exact_chain_law(n)
+    text = json.dumps(law_to_json_dict(law), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXACT_LAW_SHA256[n]
+    # a zero-probability key would add an entry to the marginals' JSON
+    assert all(p > 0 for p in law.joint.values())
+
+
+def test_blue_split_weights_sum_to_factorial():
+    # the common-denominator assembly needs integer weights over (c-1)!
+    table = _blue_split_weights(60)
+    assert sorted(table) == list(range(2, 61))
+    for c, weights in table.items():
+        assert sum(weights.values()) == math.factorial(c - 1)
+        assert all(w > 0 for w in weights.values())
 
 
 def test_exact_law_cap():

@@ -20,6 +20,7 @@ from cayley_greedy import (
 )
 from cayley_greedy.stats import (
     greedy_ratio_experiment,
+    sweep_workers,
     write_reports_csv,
     write_reports_jsonl,
 )
@@ -233,6 +234,17 @@ def test_tree_sweep_jobs_invariance():
     serial = tree_sweep_experiment("matching", 60, 24, seed=26, jobs=1)
     parallel = tree_sweep_experiment("matching", 60, 24, seed=26, jobs=3)
     assert serial.observed == parallel.observed
+
+
+@pytest.mark.parametrize("jobs,replicates,cpus,expected", [
+    (10**6, 3, 64, 3),        # never more workers than replicates
+    (10**6, 10**6, 2, 2),     # nor more than the CPUs
+    (3, 24, 8, 3),
+    (4, 100, None, 1),        # CPU count unknown: run serially
+    (1, 1, 8, 1),
+])
+def test_sweep_workers_clamp(jobs, replicates, cpus, expected):
+    assert sweep_workers(jobs, replicates, cpus) == expected
 
 
 def test_tree_sweep_unknown_kind():
