@@ -332,6 +332,40 @@ def simulate_status_chain(n: int, rng: RandomSource) -> GreedyOutcome:
     )
 
 
+class ChainColumn(IntEnum):
+    """The status chain's columns; each regime lists its own in this order."""
+
+    PAIR = 0  # undetermined parent: v active white, parent blocked white
+    ACTIVE_WHITE_PARENT = 1  # v blocked white
+    BLOCKED_WHITE_PARENT = 2  # v active white
+    ROOT_CONNECTION = 3  # v active blue, the root blocked blue
+    ACTIVE_BLUE_PARENT = 4  # v blocked blue
+    BLOCKED_BLUE_PARENT = 5  # v active blue
+    ROOT_LAST = 6  # the root, last undetermined, activates
+
+
+#: effect of each column on (u, aw, bw, ab, bb): row per count, column per
+#: ChainColumn; every column keeps the counts summing to n
+CHAIN_DELTA = np.array([
+    # pair  awp  bwp  root  abp  bbp  last
+    [-2, -1, -1, -2, -1, -1, -1],  # undetermined
+    [1, 0, 1, 0, 0, 0, 0],  # active white
+    [1, 1, 0, 0, 0, 0, 0],  # blocked white
+    [0, 0, 0, 1, 0, 1, 1],  # active blue
+    [0, 0, 0, 1, 1, 0, 0],  # blocked blue
+], dtype=np.int64)
+
+#: CHAIN_DELTA on _chain_block's lane state (p, aw, bw, ab, c = ab + bb),
+#: where p = u - 2 before the root connects and u - 1 after
+_LANE_DELTA = np.stack([
+    CHAIN_DELTA[0] + (np.arange(7) == ChainColumn.ROOT_CONNECTION),
+    CHAIN_DELTA[1],
+    CHAIN_DELTA[2],
+    CHAIN_DELTA[3],
+    CHAIN_DELTA[3] + CHAIN_DELTA[4],
+])
+
+
 #: replicates per deterministic batch; a fixed block size keeps batched
 #: results independent of how many workers process the blocks
 CHAIN_BLOCK = 8192
@@ -372,67 +406,73 @@ def simulate_status_chain_many(
 def _chain_block(
     n: int, width: int, gen: np.random.Generator, draw_rows: int = 256
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u = np.full(width, n, dtype=np.int64)
-    aw = np.zeros(width, dtype=np.int64)
-    bw = np.zeros(width, dtype=np.int64)
-    ab = np.zeros(width, dtype=np.int64)
-    bb = np.zeros(width, dtype=np.int64)
-    theta = np.zeros(width, dtype=np.int64)
-    last = np.zeros(width, dtype=bool)
-    live = u > 0
-    while live.any():
-        uniforms = gen.random((draw_rows, width))
-        for j in range(draw_rows):
-            c = ab + bb
-            pre = (c == 0) & (u >= 2) & live
-            reg2 = (c > 0) & live
-            reg3 = (c == 0) & (u == 1) & live
-            csafe = np.maximum(c, 1)
-            x = uniforms[j]
-            # same threshold cascade as status_chain_step, vectorized
-            t1 = np.where(pre, u - 2, np.where(reg2, u - 1, 0)) / n
-            t2 = t1 + aw / n
-            t3 = t2 + bw / n
-            t4 = t3 + np.where(pre, 2.0 / n, ab * (c + 1) / (csafe * n))
-            col = np.full(width, 4, dtype=np.int8)
-            col[x < t4] = 3
-            col[x < t3] = 2
-            col[x < t2] = 1
-            col[x < t1] = 0
-            # pre-connection thresholds sum to 1 exactly in exact arithmetic;
-            # guard against float dust pushing x past t4 there
-            col[pre & (col == 4)] = 3
-            col[reg3] = 5
-            col[~live] = 6
-            m = col == 0  # pair: v active, undetermined parent blocked
-            u[m] -= 2
-            aw[m] += 1
-            bw[m] += 1
-            m = col == 1  # active white parent: v blocked white
-            u[m] -= 1
-            bw[m] += 1
-            m = col == 2  # blocked white parent: v active white
-            u[m] -= 1
-            aw[m] += 1
-            m = (col == 3) & pre  # root connection
-            u[m] -= 2
-            ab[m] += 1
-            bb[m] += 1
-            m = (col == 3) & reg2  # active blue parent: v blocked blue
-            u[m] -= 1
-            bb[m] += 1
-            m = col == 4  # blocked blue parent: v active blue
-            u[m] -= 1
-            ab[m] += 1
-            m = col == 5  # root is the last undetermined vertex
-            u[m] -= 1
-            ab[m] += 1
-            last[m] = True
-            theta[live] += 1
-            live = u > 0
-            if not live.any():
-                break
-    return aw + ab, theta, last.astype(np.int64)
+    """``width`` replicates of the status chain, one lane each.
+
+    Lane i reads column i of each ``gen.random((draw_rows, width))`` batch,
+    one row per step, so the draws are fixed by the block and not by which
+    lanes are still running.  A step costs under twenty array operations
+    over the live lanes:
+
+    * Column index.  Five rows of thresholds, summed in place row by row,
+      from the same float expressions as :func:`status_chain_step`:
+      t1 = p/n, t2 = t1 + aw/n, t3 = t2 + bw/n, a guard row, then
+      t4 = guard + ab*(c+1)/(c*n).  The guard adds 1.0 before the root
+      connects, lifting the later thresholds past every draw (that regime's
+      weights sum to n only in exact arithmetic, so float dust could leave
+      a draw above t3 + 2/n), and 0.0 after, which leaves t4 as it was.
+      The column is the number of thresholds at or below the draw: 0..3
+      before the root connects, 0, 1, 2, 4, 5 after.
+    * Column table.  The lane state is (p, aw, bw, ab, c), where
+      p = u - 2 before the root connects and u - 1 after (the pair column's
+      weight times n) and c = ab + bb; ``_LANE_DELTA`` is
+      :data:`CHAIN_DELTA` in those coordinates, and a step adds one column
+      of it to each lane with a single ``take``.
+    * Lane compaction.  A lane is done once p < 0: u == 0 after the root
+      connected, or only the root left (u == 1, c == 0), whose forced
+      root-last step is applied here.  Done lanes write size, stopping step
+      and root-last flag by their original index and leave the arrays.
+
+    The thresholds stay in floats because integer ones would sample from
+    different cut points of the same draws and so change every seeded
+    output.
+    """
+    state = np.zeros((5, width), dtype=np.int64)  # rows p, aw, bw, ab, c
+    state[0] = n - 2
+    lanes = np.arange(width)
+    sizes = np.empty(width, dtype=np.int64)
+    theta = np.empty(width, dtype=np.int64)
+    last = np.empty(width, dtype=np.int64)
+    t = np.empty((5, width))  # thresholds t1, t2, t3, guard, t4
+    step = 0
+    while lanes.size:
+        for row in gen.random((draw_rows, width)):
+            if state[0].min() < 0:
+                done = state[0] < 0
+                final = state[:, done]
+                root_last = final[4] == 0
+                final += _LANE_DELTA[:, [ChainColumn.ROOT_LAST]] * root_last
+                out = lanes[done]
+                sizes[out] = final[1] + final[3]
+                theta[out] = step + root_last
+                last[out] = root_last
+                keep = ~done
+                state = state[:, keep]
+                lanes = lanes[keep]
+                t = np.empty((5, lanes.size))
+                if not lanes.size:
+                    break
+            ab, c = state[3], state[4]
+            np.divide(state[:3], n, out=t[:3])
+            np.equal(c, 0, out=t[3])
+            np.divide(ab * (c + 1), np.maximum(c, 1) * n, out=t[4])
+            t[1] += t[0]
+            t[2] += t[1]
+            t[3] += t[2]
+            t[4] += t[3]
+            column = np.less_equal(t, row.take(lanes)).sum(axis=0, dtype=np.int8)
+            state += _LANE_DELTA.take(column, axis=1)
+            step += 1
+    return sizes, theta, last
 
 
 # --------------------------------------------------------------------------

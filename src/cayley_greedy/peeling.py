@@ -21,15 +21,13 @@ the exploration possible without drawing the tree first
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 from .trees import CayleyTree, RandomSource
 
 
-@dataclass(frozen=True)
-class PeelStep:
+class PeelStep(NamedTuple):
     """One edge added by an exploration: ``peeled`` attaches below ``parent``."""
 
     peeled: int

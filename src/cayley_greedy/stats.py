@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.stats
 
 from . import greedy
 from .trees import RandomSource, sample_uniform
@@ -88,6 +87,8 @@ def chi_square_uniform(counts: Sequence[int]) -> tuple[float, float]:
     if expected < 5:
         raise ValueError(f"expected count {expected:.2f} per category is below 5")
     stat = sum((c - expected) ** 2 for c in counts) / expected
+    import scipy.stats  # here, not at module level: it is most of the CLI's start-up
+
     pvalue = float(scipy.stats.chi2.sf(stat, df=k - 1))
     return stat, pvalue
 
@@ -96,6 +97,8 @@ def ks_gaussian(
     samples: np.ndarray, mean: float = 0.0, variance: float = 1.0
 ) -> tuple[float, float]:
     """Kolmogorov-Smirnov statistic and p-value against N(mean, variance)."""
+    import scipy.stats
+
     res = scipy.stats.kstest(samples, "norm", args=(mean, math.sqrt(variance)))
     return float(res.statistic), float(res.pvalue)
 

@@ -263,3 +263,14 @@ def test_bad_input_prints_no_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("cayley-greedy: error: ")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # chi_square_uniform and ks_gaussian import scipy when called, not at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cayley_greedy.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.stdout.strip() == "False"

@@ -7,6 +7,7 @@ import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,11 @@ from cayley_greedy import (
     verify_symmetry_exact,
 )
 from cayley_greedy.greedy import (
+    CHAIN_BLOCK,
+    CHAIN_DELTA,
+    ChainColumn,
     _blue_split_weights,
+    _chain_block,
     greedy_exploration_steps,
     greedy_markov_peeling,
     law_to_json_dict,
@@ -299,6 +304,136 @@ def test_batch_chain_joint_law_matches_exact_n4():
     emp = Counter(zip(g.tolist(), t.tolist(), e.tolist()))
     for key, prob in law.joint.items():
         assert abs(emp.get(key, 0) / 60_000 - float(prob)) < 0.01
+
+
+#: SHA-256 of the little-endian int64 bytes of sizes, steps and root_last,
+#: in that order, from simulate_status_chain_many(n, replicates,
+#: RandomSource(seed), block); captured from the kernel that ran a float
+#: cascade and one masked update per column over every lane
+CHAIN_SHA256 = {
+    (1, 50, CHAIN_BLOCK, 11):
+        "b29f00e8a4e67703038921af2188948b3afc00da5d0fb45a016c2121cd6b139a",
+    (2, 50, CHAIN_BLOCK, 12):
+        "cd7bc547ce39a81427cc882264ecf14a760ecc8384c3cacec35e8bc59255d014",
+    (5, 3000, CHAIN_BLOCK, 13):
+        "0b04d240ae870c943173dfefc5002d745ccf2ba8f4bc684c824c748014e1666d",
+    (40, 3000, 1024, 14):  # two full blocks and a partial one
+        "f62368d5e5ae6b4f649276692ceb7ccc639bd4b9e8a13200118cb2c424867b80",
+    (2000, 300, CHAIN_BLOCK, 15):
+        "7087a65e0007e2a529ed8ec1e5366627d79ced3c7f1619affdd2c6117980f4f9",
+    (500, 10_000, CHAIN_BLOCK, 16):  # a full block and a partial one
+        "3b8feae0684ee34251b8069265655b1845aa3cea1e96336a6efe8b45bd3439a9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_SHA256))
+def test_chain_golden_digest(case):
+    n, replicates, block, seed = case
+    digest = hashlib.sha256()
+    for out in simulate_status_chain_many(n, replicates, RandomSource(seed), block=block):
+        digest.update(out.astype("<i8").tobytes())
+    assert digest.hexdigest() == CHAIN_SHA256[case]
+
+
+def _masked_chain_block(n, width, gen, draw_rows=256):
+    """The chain kernel before the column table, kept as the reference:
+    the threshold cascade and one masked update per column, over every lane
+    until the slowest one is absorbed."""
+    u = np.full(width, n, dtype=np.int64)
+    aw = np.zeros(width, dtype=np.int64)
+    bw = np.zeros(width, dtype=np.int64)
+    ab = np.zeros(width, dtype=np.int64)
+    bb = np.zeros(width, dtype=np.int64)
+    theta = np.zeros(width, dtype=np.int64)
+    last = np.zeros(width, dtype=bool)
+    live = u > 0
+    while live.any():
+        uniforms = gen.random((draw_rows, width))
+        for j in range(draw_rows):
+            c = ab + bb
+            pre = (c == 0) & (u >= 2) & live
+            reg2 = (c > 0) & live
+            reg3 = (c == 0) & (u == 1) & live
+            csafe = np.maximum(c, 1)
+            x = uniforms[j]
+            t1 = np.where(pre, u - 2, np.where(reg2, u - 1, 0)) / n
+            t2 = t1 + aw / n
+            t3 = t2 + bw / n
+            t4 = t3 + np.where(pre, 2.0 / n, ab * (c + 1) / (csafe * n))
+            col = np.full(width, 4, dtype=np.int8)
+            col[x < t4] = 3
+            col[x < t3] = 2
+            col[x < t2] = 1
+            col[x < t1] = 0
+            col[pre & (col == 4)] = 3
+            col[reg3] = 5
+            col[~live] = 6
+            for m, du, daw, dbw, dab, dbb in (
+                (col == 0, 2, 1, 1, 0, 0),
+                (col == 1, 1, 0, 1, 0, 0),
+                (col == 2, 1, 1, 0, 0, 0),
+                ((col == 3) & pre, 2, 0, 0, 1, 1),
+                ((col == 3) & reg2, 1, 0, 0, 0, 1),
+                (col == 4, 1, 0, 0, 1, 0),
+                (col == 5, 1, 0, 0, 1, 0),
+            ):
+                u[m] -= du
+                aw[m] += daw
+                bw[m] += dbw
+                ab[m] += dab
+                bb[m] += dbb
+            last[col == 5] = True
+            theta[live] += 1
+            live = u > 0
+            if not live.any():
+                break
+    return aw + ab, theta, last.astype(np.int64)
+
+
+@pytest.mark.parametrize("width,draw_rows", [(1, 256), (7, 3), (64, 256), (300, 5)])
+def test_chain_block_equals_masked_reference(width, draw_rows):
+    # short draw batches make lanes retire across batch boundaries
+    for n in [*range(1, 41), 97, 250]:
+        seed = [n, width, draw_rows]
+        new = _chain_block(n, width, np.random.default_rng(seed), draw_rows)
+        ref = _masked_chain_block(n, width, np.random.default_rng(seed), draw_rows)
+        for a, b in zip(new, ref):
+            assert np.array_equal(a, b), (n, width, draw_rows)
+
+
+def _regime_columns(state):
+    """chain_transitions' columns for ``state``, in its order."""
+    if state.active_blue or state.blocked_blue:
+        return [ChainColumn.PAIR, ChainColumn.ACTIVE_WHITE_PARENT,
+                ChainColumn.BLOCKED_WHITE_PARENT, ChainColumn.ACTIVE_BLUE_PARENT,
+                ChainColumn.BLOCKED_BLUE_PARENT]
+    if state.undetermined == 1:
+        return [ChainColumn.ROOT_LAST]
+    return [ChainColumn.PAIR, ChainColumn.ACTIVE_WHITE_PARENT,
+            ChainColumn.BLOCKED_WHITE_PARENT, ChainColumn.ROOT_CONNECTION]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_delta_matches_transitions(n):
+    assert CHAIN_DELTA.shape == (5, len(ChainColumn))
+    assert (CHAIN_DELTA.sum(axis=0) == 0).all()  # each column keeps the sum n
+    checked = 0
+    for state in (StatusCounts(*s) for s in itertools.product(range(n + 1), repeat=5)):
+        u, aw, bw, ab, bb = state
+        if sum(state) != n or u < 1 or (ab == 0) != (bb == 0):
+            continue
+        if ab == 0 and u >= 2:
+            positive = u >= 3 and aw >= 1 and bw >= 1
+        else:
+            positive = (u >= 2 and aw >= 1 and bw >= 1) or (ab == 0 and u == 1)
+        if not positive:  # chain_transitions drops zero-weight columns
+            continue
+        targets = [s for _, s in chain_transitions(state, n)]
+        expected = [StatusCounts(*(int(v) for v in np.add(state, CHAIN_DELTA[:, k])))
+                    for k in _regime_columns(state)]
+        assert targets == expected, state
+        checked += 1
+    assert checked
 
 
 def test_greedy_markov_peeling_matches_exact_law():

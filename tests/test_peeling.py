@@ -22,7 +22,12 @@ from cayley_greedy import (
     sample_uniform,
     tree_count,
 )
-from cayley_greedy.peeling import _check_transition_weights, write_steps_csv
+from cayley_greedy.peeling import (
+    PeelStep,
+    _check_transition_weights,
+    format_steps_csv,
+    write_steps_csv,
+)
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
 
 PATH_2_1_3 = CayleyTree(3, (3, 1))  # edges 2-1 and 1-3, rooted at 3
@@ -330,3 +335,15 @@ def test_write_steps_csv(tmp_path):
     assert lines[1] == "1,1,3,1"
     assert len(lines) == 3
     assert b"\r" not in path.read_bytes()  # LF line ends, as the CLI prints
+
+
+def test_peel_step_is_a_named_tuple():
+    step = PeelStep(peeled=3, parent=7, recolored_to_blue=True)
+    assert step._fields == ("peeled", "parent", "recolored_to_blue")
+    assert repr(step) == "PeelStep(peeled=3, parent=7, recolored_to_blue=True)"
+    assert step == (3, 7, True)  # a tuple: equal to the plain tuple
+    with pytest.raises(AttributeError):
+        step.peeled = 4
+    assert format_steps_csv([step, PeelStep(1, 3, False)]) == (
+        "step,peeled,parent,recolored\n1,3,7,1\n2,1,3,0\n"
+    )

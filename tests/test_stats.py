@@ -177,6 +177,17 @@ def test_clt_experiment_moderate_run():
     assert steps.lower < 3 / 4 - math.log(2) < steps.upper < 3 / 4
 
 
+def test_clt_experiment_observed_values_pinned():
+    # captured from the chain kernel that ran one masked update per column;
+    # pins the chain's random stream through the CLT driver
+    reports = {r.statistic: r.observed for r in clt_experiment(500, 10_000, seed=42)}
+    assert reports["size_variance"] == 0.06228855267526764
+    assert reports["steps_variance"] == 0.05636679249924963
+    assert reports["root_last_fraction"] == 0.2452
+    # the p-value also passes through scipy's KS distribution
+    assert math.isclose(reports["size_ks_pvalue"], 9.1703676153373e-20, rel_tol=1e-6)
+
+
 def test_symmetry_experiment_mc_small_law():
     report = symmetry_experiment_mc(3, 50_000, seed=17)
     assert report.statistic == "symmetry_tv"
