@@ -29,9 +29,7 @@ from .greedy import (
     max_independent_set,
     reference_chain_law,
     root_last_probability,
-    simulate_status_chain,
     simulate_status_chain_many,
-    status_chain_step,
     verify_symmetry_exact,
 )
 from .peeling import (

@@ -15,8 +15,10 @@
   chain whose transitions close over the counts alone, so the law of the
   outcome triple (set size, stopping step, root-last indicator) can be
   simulated in O(stopping step) with no tree at all
-  (:func:`simulate_status_chain`, :func:`simulate_status_chain_many`) and
-  computed exactly by dynamic programming (:func:`exact_chain_law`).
+  (:func:`simulate_status_chain_many`) and computed exactly by dynamic
+  programming (:func:`exact_chain_law`).  Its transition rule is written
+  once: column weights in :func:`chain_weights`, moves in
+  :data:`CHAIN_DELTA`.
 
 Here *blue* means "in the component of the root n" exactly as in the
 peeling exploration; the root-last indicator records the event that at
@@ -202,8 +204,8 @@ def greedy_markov_peeling(n: int, rng: RandomSource):
     :func:`greedy_peeling`; the exploration stops once nothing is
     undetermined, leaving a partial forest.
 
-    Returns (steps, outcome); the outcome triple has the same law as
-    :func:`simulate_status_chain`.
+    Returns (steps, outcome); the outcome triple has the same law as the
+    status chain (:func:`simulate_status_chain_many`).
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -230,108 +232,6 @@ def greedy_markov_peeling(n: int, rng: RandomSource):
 # The status Markov chain
 # --------------------------------------------------------------------------
 
-def chain_transitions(
-    state: StatusCounts, n: int
-) -> list[tuple[Fraction, StatusCounts]]:
-    """Exact one-step law of the status chain from ``state``.
-
-    Three regimes, depending on whether the root is still undetermined
-    (no blue determined vertices yet) and on the undetermined count:
-
-    * root undetermined, u >= 2: inspected vertex pairs with an
-      undetermined white parent w.p. (u-2)/n, an active white parent
-      w.p. aw/n, a blocked white parent w.p. bw/n, or connects to the
-      root w.p. 2/n (two vertices leave undetermined in that case too);
-    * root determined (ab >= 1 and bb >= 1), u >= 1: the white columns
-      keep their weights with the pair column at (u-1)/n, and the blue
-      parent columns weigh ab*(ab+bb+1)/((ab+bb)*n) (vertex joins blue
-      blocked) and bb*(ab+bb+1)/((ab+bb)*n) (vertex joins blue active);
-    * root undetermined and u == 1: deterministically the root activates.
-
-    Probabilities always sum to exactly 1 (checked in integer arithmetic).
-    """
-    u, aw, bw, ab, bb = state
-    if u < 1:
-        raise ValueError("chain already absorbed")
-    cols: list[tuple[Fraction, StatusCounts]] = []
-    if ab == 0 and bb == 0:
-        if u == 1:
-            return [(Fraction(1), StatusCounts(0, aw, bw, 1, 0))]
-        assert (u - 2) + aw + bw + 2 == n, "weights must sum to n"
-        cols = [
-            (Fraction(u - 2, n), StatusCounts(u - 2, aw + 1, bw + 1, 0, 0)),
-            (Fraction(aw, n), StatusCounts(u - 1, aw, bw + 1, 0, 0)),
-            (Fraction(bw, n), StatusCounts(u - 1, aw + 1, bw, 0, 0)),
-            (Fraction(2, n), StatusCounts(u - 2, aw, bw, 1, 1)),
-        ]
-    else:
-        if ab < 1 or bb < 1:
-            raise ValueError("blue actives and blue blockeds appear together")
-        c = ab + bb
-        assert (u - 1) + aw + bw + c + 1 == n, "weights must sum to n"
-        cols = [
-            (Fraction(u - 1, n), StatusCounts(u - 2, aw + 1, bw + 1, ab, bb)),
-            (Fraction(aw, n), StatusCounts(u - 1, aw, bw + 1, ab, bb)),
-            (Fraction(bw, n), StatusCounts(u - 1, aw + 1, bw, ab, bb)),
-            (Fraction(ab * (c + 1), c * n), StatusCounts(u - 1, aw, bw, ab, bb + 1)),
-            (Fraction(bb * (c + 1), c * n), StatusCounts(u - 1, aw, bw, ab + 1, bb)),
-        ]
-    assert sum(p for p, _ in cols) == 1
-    return [(p, s) for p, s in cols if p]
-
-
-def status_chain_step(state: StatusCounts, n: int, rng: RandomSource) -> StatusCounts:
-    """Sample one transition, consuming exactly one uniform draw."""
-    u, aw, bw, ab, bb = state
-    if u < 1:
-        raise ValueError("chain already absorbed")
-    if ab == 0 and bb == 0 and u == 1:
-        return StatusCounts(0, aw, bw, 1, 0)
-    x = rng.uniform()
-    if ab == 0 and bb == 0:
-        t1 = (u - 2) / n
-        t2 = t1 + aw / n
-        t3 = t2 + bw / n
-        if x < t1:
-            return StatusCounts(u - 2, aw + 1, bw + 1, 0, 0)
-        if x < t2:
-            return StatusCounts(u - 1, aw, bw + 1, 0, 0)
-        if x < t3:
-            return StatusCounts(u - 1, aw + 1, bw, 0, 0)
-        return StatusCounts(u - 2, aw, bw, 1, 1)
-    c = ab + bb
-    t1 = (u - 1) / n
-    t2 = t1 + aw / n
-    t3 = t2 + bw / n
-    t4 = t3 + ab * (c + 1) / (c * n)
-    if x < t1:
-        return StatusCounts(u - 2, aw + 1, bw + 1, ab, bb)
-    if x < t2:
-        return StatusCounts(u - 1, aw, bw + 1, ab, bb)
-    if x < t3:
-        return StatusCounts(u - 1, aw + 1, bw, ab, bb)
-    if x < t4:
-        return StatusCounts(u - 1, aw, bw, ab, bb + 1)
-    return StatusCounts(u - 1, aw, bw, ab + 1, bb)
-
-
-def simulate_status_chain(n: int, rng: RandomSource) -> GreedyOutcome:
-    """One greedy outcome in O(stopping step) time and O(1) memory, no tree."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    state = StatusCounts(n, 0, 0, 0, 0)
-    steps = 0
-    root_last = 0
-    while state.undetermined > 0:
-        if state.active_blue == 0 and state.blocked_blue == 0 and state.undetermined == 1:
-            root_last = 1
-        state = status_chain_step(state, n, rng)
-        steps += 1
-    return GreedyOutcome(
-        size=state.active_white + state.active_blue, steps=steps, root_last=root_last
-    )
-
-
 class ChainColumn(IntEnum):
     """The status chain's columns; each regime lists its own in this order."""
 
@@ -356,7 +256,7 @@ CHAIN_DELTA = np.array([
 ], dtype=np.int64)
 
 #: CHAIN_DELTA on _chain_block's lane state (p, aw, bw, ab, c = ab + bb),
-#: where p = u - 2 before the root connects and u - 1 after
+#: where p is the pair weight of chain_weights
 _LANE_DELTA = np.stack([
     CHAIN_DELTA[0] + (np.arange(7) == ChainColumn.ROOT_CONNECTION),
     CHAIN_DELTA[1],
@@ -364,6 +264,52 @@ _LANE_DELTA = np.stack([
     CHAIN_DELTA[3],
     CHAIN_DELTA[3] + CHAIN_DELTA[4],
 ])
+
+
+def chain_weights(u, c):
+    """Weights times n of the pair column and the blue column, given c = ab + bb.
+
+    Before the root connects (c == 0) they are u - 2 and 2, after it
+    u - 1 and c + 1.  The active-white and blocked-white parent columns
+    weigh aw and bw, so the four weights sum to n in both regimes.  The
+    blue column is the root connection before, and after it splits
+    ab : bb between the active-blue and blocked-blue parent columns.  A
+    pair weight of -1 (c == 0, u == 1) marks the forced root-last column.
+    Works on Python ints and on numpy arrays alike.
+    """
+    pre = c == 0
+    return u - 1 - pre, c + 1 + pre
+
+
+def chain_transitions(
+    state: StatusCounts, n: int
+) -> list[tuple[Fraction, StatusCounts]]:
+    """Exact one-step law of the status chain from ``state``.
+
+    Column weights come from :func:`chain_weights` and moves from
+    :data:`CHAIN_DELTA`; columns are listed in :class:`ChainColumn` order
+    and zero-probability ones are dropped.  Probabilities always sum to
+    exactly 1 (checked in rational arithmetic).
+    """
+    u, aw, bw, ab, bb = state
+    if u < 1:
+        raise ValueError("chain already absorbed")
+    c = ab + bb
+    if c and not (ab and bb):
+        raise ValueError("blue actives and blue blockeds appear together")
+    pair, blue = chain_weights(u, c)
+    assert pair + aw + bw + blue == n, "weights must sum to n"
+    k = max(c, 1)  # weights below are over n * k
+    if pair < 0:  # only the root is left, and it activates
+        weights = [0] * ChainColumn.ROOT_LAST + [n]
+    else:  # the blue column connects the root, or splits ab : bb after that
+        weights = [pair * k, aw * k, bw * k, blue * (c == 0), blue * ab, blue * bb, 0]
+    cols = [
+        (Fraction(w, n * k), StatusCounts(*(CHAIN_DELTA[:, col] + state).tolist()))
+        for col, w in zip(ChainColumn, weights)
+    ]
+    assert sum(p for p, _ in cols) == 1
+    return [(p, s) for p, s in cols if p]
 
 
 #: replicates per deterministic batch; a fixed block size keeps batched
@@ -377,7 +323,7 @@ def simulate_status_chain_many(
     rng: RandomSource,
     block: int = CHAIN_BLOCK,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized replicates of :func:`simulate_status_chain`.
+    """Replicates of the status chain, each giving (size, steps, root_last).
 
     Returns (sizes, steps, root_last) arrays of length ``replicates``.
     Replicates are processed in fixed-size blocks, each driven by its own
@@ -404,7 +350,7 @@ def simulate_status_chain_many(
 
 
 def _chain_block(
-    n: int, width: int, gen: np.random.Generator, draw_rows: int = 256
+    n: int, width: int, gen: np.random.Generator, draw_rows: int = 32
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``width`` replicates of the status chain, one lane each.
 
@@ -414,7 +360,7 @@ def _chain_block(
     over the live lanes:
 
     * Column index.  Five rows of thresholds, summed in place row by row,
-      from the same float expressions as :func:`status_chain_step`:
+      from the weights of :func:`chain_weights` as floats:
       t1 = p/n, t2 = t1 + aw/n, t3 = t2 + bw/n, a guard row, then
       t4 = guard + ab*(c+1)/(c*n).  The guard adds 1.0 before the root
       connects, lifting the later thresholds past every draw (that regime's
@@ -422,9 +368,9 @@ def _chain_block(
       a draw above t3 + 2/n), and 0.0 after, which leaves t4 as it was.
       The column is the number of thresholds at or below the draw: 0..3
       before the root connects, 0, 1, 2, 4, 5 after.
-    * Column table.  The lane state is (p, aw, bw, ab, c), where
-      p = u - 2 before the root connects and u - 1 after (the pair column's
-      weight times n) and c = ab + bb; ``_LANE_DELTA`` is
+    * Column table.  The lane state is (p, aw, bw, ab, c), where p is the
+      pair weight of :func:`chain_weights` (u - 2 before the root connects,
+      u - 1 after) and c = ab + bb; ``_LANE_DELTA`` is
       :data:`CHAIN_DELTA` in those coordinates, and a step adds one column
       of it to each lane with a single ``take``.
     * Lane compaction.  A lane is done once p < 0: u == 0 after the root
@@ -437,7 +383,7 @@ def _chain_block(
     output.
     """
     state = np.zeros((5, width), dtype=np.int64)  # rows p, aw, bw, ab, c
-    state[0] = n - 2
+    state[0] = chain_weights(n, 0)[0]
     lanes = np.arange(width)
     sizes = np.empty(width, dtype=np.int64)
     theta = np.empty(width, dtype=np.int64)
@@ -598,14 +544,13 @@ def exact_chain_law(n: int, cap: int | None = None) -> GreedyLaw:
         step += 1
         nxt = {}
         for (u, c), ws in states.items():
-            # the columns of chain_transitions, times n
-            if c == 0:
-                if u == 1:  # the root activates last
-                    nxt[(0, 1)] = [w * n for w in ws]
-                    continue
-                pair_w, blue, blue_w = u - 2, row(u - 2, 2), 2  # root connects
-            else:
-                pair_w, blue, blue_w = u - 1, row(u - 1, c + 1), c + 1
+            pair_w, blue_w = chain_weights(u, c)
+            if pair_w < 0:  # the root activates last
+                nxt[(0, 1)] = [w * n for w in ws]
+                continue
+            # the blue column lands on (pair_w, blue_w): (u - 2, 2) when the
+            # root connects, (u - 1, c + 1) after
+            blue = row(pair_w, blue_w)
             pair = row(u - 2, c) if pair_w else None
             free = n - u - c  # active_white + blocked_white
             white = row(u - 1, c) if free else None
@@ -744,9 +689,10 @@ def root_last_probability(n: int) -> Fraction:
 def _root_avoiding_survival(n: int) -> Fraction:
     """E[(1 - 2/n)^(T - 1)] for the chain conditioned to never connect the root.
 
-    The conditioned chain lives on (undetermined, active-white) with column
-    weights (u-2), aw, bw over the common denominator n - 2; with
-    z = (n-2)/n the step-i contribution collapses to weight / n^i.
+    The conditioned chain lives on (undetermined, active-white) with the
+    white column weights of :func:`chain_weights` before the root connects,
+    (u-2), aw, bw, over the common denominator n - 2; with z = (n-2)/n the
+    step-i contribution collapses to weight / n^i.
     """
     if n < 3:
         raise ValueError("conditioned chain needs n >= 3")
@@ -758,12 +704,13 @@ def _root_avoiding_survival(n: int) -> Fraction:
         nxt: dict[tuple[int, int], int] = defaultdict(int)
         for (u, aw), w in states.items():
             bw = n - u - aw
-            if u == 1:
+            pair_w, _ = chain_weights(u, 0)
+            if pair_w < 0:
                 # terminal root activation: T = step, contributes z^(T-1)
                 acc += Fraction(w, n ** (step - 1))
                 continue
-            if u > 2:
-                nxt[(u - 2, aw + 1)] += w * (u - 2)
+            if pair_w:
+                nxt[(u - 2, aw + 1)] += w * pair_w
             if aw:
                 nxt[(u - 1, aw)] += w * aw
             if bw:

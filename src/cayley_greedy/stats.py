@@ -221,9 +221,14 @@ def clt_experiment(
     ]
 
 
+#: bootstrap resamples behind symmetry_experiment_mc's TV threshold, and
+#: the quantile of their TVs that the threshold is
+BOOTSTRAP_ROUNDS = 200
+BOOTSTRAP_QUANTILE = 0.99
+
+
 def _bootstrap_tv_threshold(
-    counts_a: Counter, counts_b: Counter, rng: RandomSource,
-    rounds: int, quantile: float,
+    counts_a: Counter, counts_b: Counter, rng: RandomSource
 ) -> float:
     """99th-percentile TV between two resamples of the pooled empirical law."""
     support = sorted(set(counts_a) | set(counts_b))
@@ -233,20 +238,18 @@ def _bootstrap_tv_threshold(
     na = sum(counts_a.values())
     nb = sum(counts_b.values())
     gen = rng.generator
-    tvs = np.empty(rounds)
-    for i in range(rounds):
+    tvs = np.empty(BOOTSTRAP_ROUNDS)
+    for i in range(BOOTSTRAP_ROUNDS):
         xa = gen.multinomial(na, probs) / na
         xb = gen.multinomial(nb, probs) / nb
         tvs[i] = 0.5 * np.abs(xa - xb).sum()
-    return float(np.quantile(tvs, quantile))
+    return float(np.quantile(tvs, BOOTSTRAP_QUANTILE))
 
 
 def symmetry_experiment_mc(
     n: int,
     replicates: int,
     seed: int = DEFAULT_SEED,
-    bootstrap_rounds: int = 200,
-    quantile: float = 0.99,
     control: bool = False,
 ) -> ExperimentReport:
     """Two-sample check that law(G) matches law((n - G) + E).
@@ -266,9 +269,7 @@ def symmetry_experiment_mc(
     counts_b = Counter(side_b.tolist())
     dist_a = EmpiricalDistribution(counts_a, replicates)
     tv = dist_a.tv_to(EmpiricalDistribution(counts_b, replicates).as_probs())
-    threshold = _bootstrap_tv_threshold(
-        counts_a, counts_b, rng.child(3), bootstrap_rounds, quantile
-    )
+    threshold = _bootstrap_tv_threshold(counts_a, counts_b, rng.child(3))
     name = "symmetry_tv_control" if control else "symmetry_tv"
     return ExperimentReport(
         n=n, replicates=replicates, seed=seed, statistic=name,

@@ -360,8 +360,8 @@ def aldous_broder_sample(n: int, rng: RandomSource) -> CayleyTree:
     the first entrance into each vertex k contributes the edge from k to the
     vertex occupied just before.
     """
-    if n < 2:
-        raise ValueError("need at least two vertices")
+    if n < 1:
+        raise ValueError("need at least one vertex")
     parents = [0] * (n - 1)
     seen = bytearray(n + 1)
     seen[n] = 1

@@ -36,6 +36,12 @@ def test_sample_tree_methods_deterministic(method, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("method", ["prufer", "pitman", "aldous-broder"])
+def test_sample_tree_one_vertex(method, capsys):
+    code, out = run(["sample-tree", "--n", "1", "--method", method], capsys)
+    assert (code, out) == (0, "1;\n")
+
+
 def test_enumerate(capsys):
     code, out = run(["enumerate", "--n", "3"], capsys)
     assert code == 0

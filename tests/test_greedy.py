@@ -28,9 +28,7 @@ from cayley_greedy import (
     reference_chain_law,
     root_last_probability,
     sample_uniform,
-    simulate_status_chain,
     simulate_status_chain_many,
-    status_chain_step,
     tree_count,
     verify_symmetry_exact,
 )
@@ -40,6 +38,7 @@ from cayley_greedy.greedy import (
     ChainColumn,
     _blue_split_weights,
     _chain_block,
+    chain_weights,
     greedy_exploration_steps,
     greedy_markov_peeling,
     law_to_json_dict,
@@ -51,16 +50,6 @@ from cayley_greedy.stats import EmpiricalDistribution
 CENTER_1 = CayleyTree(3, (3, 1))  # path 2-1-3, center 1, rooted at 3
 CENTER_2 = CayleyTree(3, (2, 3))  # path 1-2-3, center 2
 CENTER_3 = CayleyTree(3, (3, 3))  # star at 3
-
-
-class FakeRng:
-    """Feeds a preset list of uniforms to status_chain_step."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def uniform(self):
-        return self._values.pop(0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,35 +240,82 @@ def test_chain_transitions_rejects_bad_states():
         chain_transitions(StatusCounts(1, 1, 1, 2, 0), 5)
 
 
-def test_status_chain_step_threshold_boundaries():
-    # regime 1 at (4,0,0,0,0), n=4: pair below 1/2, root connection above
-    state = StatusCounts(4, 0, 0, 0, 0)
-    assert status_chain_step(state, 4, FakeRng([0.49])) == StatusCounts(2, 1, 1, 0, 0)
-    assert status_chain_step(state, 4, FakeRng([0.51])) == StatusCounts(2, 0, 0, 1, 1)
-    # regime 2 at (1,1,0,1,1), n=4: white-active column up to 1/4, then the
-    # blue-blocked column up to 1/4 + 3/8 = 5/8, blue-active above
-    state = StatusCounts(1, 1, 0, 1, 1)
-    assert status_chain_step(state, 4, FakeRng([0.2])) == StatusCounts(0, 1, 1, 1, 1)
-    assert status_chain_step(state, 4, FakeRng([0.5])) == StatusCounts(0, 1, 0, 1, 2)
-    assert status_chain_step(state, 4, FakeRng([0.7])) == StatusCounts(0, 1, 0, 2, 1)
-    # terminal rule consumes no randomness
-    assert status_chain_step(StatusCounts(1, 0, 0, 0, 0), 2, FakeRng([])) == \
-        StatusCounts(0, 0, 0, 1, 0)
+def test_chain_weights_sum_to_n():
+    assert chain_weights(5, 0) == (3, 2)  # before the root connects
+    assert chain_weights(3, 4) == (2, 5)  # after it
+    assert chain_weights(1, 0) == (-1, 2)  # only the root left: root last
+    for n in range(1, 11):
+        states = [(u, aw, bw, c)
+                  for u in range(1, n + 1) for c in [0, *range(2, n - u + 1)]
+                  for aw in range(n - u - c + 1) for bw in [n - u - c - aw]]
+        for u, aw, bw, c in states:
+            pair, blue = chain_weights(u, c)
+            assert pair + aw + bw + blue == n
+        u, aw, bw, c = np.array(states).T
+        pair, blue = chain_weights(u, c)
+        assert (pair + aw + bw + blue == n).all()
+        assert pair.tolist() == [chain_weights(int(x), int(y))[0] for x, y in zip(u, c)]
+
+
+class _Unread:
+    """A draw row that fails when a lane reads it."""
+
+    def take(self, lanes):
+        raise AssertionError("a lane read a draw past the preset ones")
+
+
+class PresetDraws:
+    """Stands in for np.random.Generator: ``random((rows, width))`` hands out
+    the preset rows in order, then rows that fail when read."""
+
+    def __init__(self, rows):
+        self.rows = [np.array(r, dtype=float) for r in rows]
+
+    def random(self, shape):
+        batch, self.rows = self.rows[:shape[0]], self.rows[shape[0]:]
+        assert all(row.shape == shape[1:] for row in batch)
+        return batch + [_Unread()] * (shape[0] - len(batch))
+
+
+def test_chain_block_threshold_boundaries():
+    def below(t):
+        return np.nextafter(t, 0)
+
+    nan = float("nan")  # never read: the lane has retired
+    # n = 4, lane by lane; a draw at a threshold takes the column above it.
+    # From (4,0,0,0,0) the pair column lies below 1/2, the root connection at
+    # or above; then 0.9 connects the root from (2,1,1,0,0) and takes the
+    # blocked-blue parent from (2,0,0,1,1) and (1,0,0,2,1).  From (2,0,0,1,1)
+    # the pair column lies below 1/4, the active-blue parent below
+    # 1/4 + 3/8 = 5/8 (then 0.9 >= 1/3 takes the blocked-blue parent from
+    # (1,0,0,1,2)), the blocked-blue parent at or above 5/8.
+    lanes = [
+        ([below(0.5), 0.9, nan], (2, 2, 0)),
+        ([0.5, 0.9, 0.9], (3, 3, 0)),
+        ([0.75, below(0.25), nan], (2, 2, 0)),
+        ([0.75, 0.25, 0.9], (2, 3, 0)),
+        ([0.75, below(0.625), 0.9], (2, 3, 0)),
+        ([0.75, 0.625, 0.9], (3, 3, 0)),
+    ]
+    rows = np.array([draws for draws, _ in lanes]).T
+    out = _chain_block(4, len(lanes), PresetDraws(rows), draw_rows=4)
+    assert [tuple(int(x) for x in o) for o in zip(*out)] == [o for _, o in lanes]
+    # the pair column, then the active-white parent (0.1 < 1/4), leave only
+    # the root, whose forced root-last step reads no draw
+    out = _chain_block(4, 1, PresetDraws([[0.1], [0.1]]), draw_rows=2)
+    assert [int(x[0]) for x in out] == [2, 3, 1]
 
 
 def test_simulate_status_chain_small_sizes():
-    out = simulate_status_chain(1, RandomSource(0))
-    assert (out.size, out.steps, out.root_last) == (1, 1, 1)
+    g, t, e = simulate_status_chain_many(1, 1, RandomSource(0))
+    assert (g[0], t[0], e[0]) == (1, 1, 1)
     for seed in range(6):
-        out = simulate_status_chain(2, RandomSource(seed))
-        assert (out.size, out.steps, out.root_last) == (1, 1, 0)
+        g, t, e = simulate_status_chain_many(2, 1, RandomSource(seed))
+        assert (g[0], t[0], e[0]) == (1, 1, 0)
 
 
 def test_simulate_status_chain_law_n3():
-    rng = RandomSource(1234)
-    sizes = Counter(
-        simulate_status_chain(3, rng.child(i)).size for i in range(20_000)
-    )
+    sizes = Counter(simulate_status_chain_many(3, 20_000, RandomSource(1234))[0].tolist())
     assert abs(sizes[1] / 20_000 - 1 / 3) < 0.02
     assert abs(sizes[2] / 20_000 - 2 / 3) < 0.02
 

@@ -221,7 +221,7 @@ def test_symmetry_experiment_detects_asymmetry():
     counts_b = Counter((n - b).tolist())  # indicator dropped on purpose
     emp_a = EmpiricalDistribution(counts_a, 200_000)
     tv = emp_a.tv_to(EmpiricalDistribution(counts_b, 200_000).as_probs())
-    threshold = _bootstrap_tv_threshold(counts_a, counts_b, rng.child(3), 200, 0.99)
+    threshold = _bootstrap_tv_threshold(counts_a, counts_b, rng.child(3))
     assert tv > threshold
 
 
