@@ -105,7 +105,7 @@ def cmd_greedy(args) -> int:
     master = trees.RandomSource(args.seed)
     rows = []
     for i in range(args.replicates):
-        out = greedy.greedy_peeling(trees.sample_uniform(args.n, master.child(i)))
+        out = greedy.greedy_uniform_tree(args.n, master.child(i))
         rows.append({"n": args.n, "replicate": i,
                      "G": out.size, "theta": out.steps, "E": out.root_last})
     _emit_outcomes(rows, args)

@@ -39,7 +39,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .peeling import PeelStep
-from .trees import CayleyTree, RandomSource, _cap, enumerate_all, tree_count
+from .trees import (
+    CayleyTree, RandomSource, _cap, enumerate_all, sample_uniform, tree_count,
+)
 
 #: largest size accepted by exact_chain_law unless overridden
 DEFAULT_LAW_CAP = 60
@@ -178,6 +180,15 @@ def greedy_peeling(
         active_set=frozenset(active),
     )
     return (outcome, rows) if trace else outcome
+
+
+def greedy_uniform_tree(n: int, rng: RandomSource) -> GreedyOutcome:
+    """Greedy peeling of one uniform tree drawn from ``rng``.
+
+    The per-replicate kernel of the ``greedy`` command and of the
+    ``greedy-tree`` sweep; replicate i passes child stream i.
+    """
+    return greedy_peeling(sample_uniform(n, rng))
 
 
 def greedy_exploration_steps(tree: CayleyTree):
@@ -727,15 +738,23 @@ def greedy_matching(tree: CayleyTree, order: Sequence[int]) -> int:
     """Size of the maximal matching built greedily along ``order``.
 
     Edges are identified by their child vertex (1..n-1); an edge is kept
-    whenever both endpoints are still unmatched.
+    whenever both endpoints are still unmatched.  Raises ``ValueError``
+    unless ``order`` is a permutation of 1..n-1; a bad or repeated id is
+    caught when the loop meets it, which is safe as nothing outside the
+    function has changed.
     """
     n = tree.n
-    if sorted(order) != list(range(1, n)):
+    if len(order) != n - 1:
         raise ValueError("order must be a permutation of the edge ids 1..n-1")
+    parents = tree.parents
+    seen = bytearray(n)
     matched = bytearray(n + 1)
     size = 0
     for v in order:
-        p = tree.parent_of(v)
+        if not 0 < v < n or seen[v]:
+            raise ValueError("order must be a permutation of the edge ids 1..n-1")
+        seen[v] = 1
+        p = parents[v - 1]
         if not matched[v] and not matched[p]:
             matched[v] = 1
             matched[p] = 1
@@ -744,26 +763,40 @@ def greedy_matching(tree: CayleyTree, order: Sequence[int]) -> int:
 
 
 def max_independent_set(tree: CayleyTree) -> int:
-    """Exact maximum independent set size via the two-state tree DP."""
+    """Exact maximum independent set size, in one leaf-removal pass.
+
+    Vertices are removed once all their children are gone, found by the
+    same pointer scan as :func:`prufer_decode`, so each vertex is seen
+    after its whole subtree.  A vertex is taken iff none of its children
+    was taken; on a tree this greedy is optimal (some maximum set holds
+    every leaf).  Works on any parent table, whatever its labels.
+    """
     n = tree.n
-    if n == 1:
-        return 1
-    children = tree.children()
-    # process vertices deepest-first so children are done before parents
-    depth = [0] * (n + 1)
-    order = [n]
-    for i in range(n):
-        v = order[i]
-        for ch in children[v]:
-            depth[ch] = depth[v] + 1
-            order.append(ch)
-    incl = [1] * (n + 1)
-    excl = [0] * (n + 1)
-    for v in reversed(order):
-        for ch in children[v]:
-            incl[v] += excl[ch]
-            excl[v] += max(incl[ch], excl[ch])
-    return max(incl[n], excl[n])
+    parents = tree.parents
+    pending = [0] * (n + 1)  # children not yet removed
+    for p in parents:
+        pending[p] += 1
+    covered = bytearray(n + 1)  # some child was taken
+    size = 0
+    ptr = 1
+    while pending[ptr]:
+        ptr += 1
+    leaf = ptr
+    for _ in range(n - 1):
+        p = parents[leaf - 1]
+        if not covered[leaf]:
+            size += 1
+            covered[p] = 1
+        pending[p] -= 1
+        if not pending[p] and p < ptr:
+            leaf = p
+        else:
+            ptr += 1
+            while pending[ptr]:
+                ptr += 1
+            leaf = ptr
+    # the root n goes last
+    return size + (not covered[n])
 
 
 # --------------------------------------------------------------------------

@@ -264,7 +264,7 @@ def peel_markov(
         step = _markov_attach(state, v, rng)
         parents[v - 1] = step.parent
         steps.append(step)
-    return steps, CayleyTree(n, parents)
+    return steps, CayleyTree._trusted(n, parents)
 
 
 def first_branch_length(n: int, rng: RandomSource) -> int:

@@ -283,16 +283,17 @@ def _ratio_values(kind: str, n: int, seed: int, start: int, stop: int) -> list[f
     values = []
     for i in range(start, stop):
         child = master.child(i)
-        tree = sample_uniform(n, child)
-        if kind == "matching":
+        if kind == "greedy-tree":
+            value = greedy.greedy_uniform_tree(n, child).size
+        elif kind == "matching":
+            tree = sample_uniform(n, child)
             order = child.generator.permutation(np.arange(1, n)).tolist()
-            values.append(greedy.greedy_matching(tree, order) / n)
+            value = greedy.greedy_matching(tree, order)
         elif kind == "max-is":
-            values.append(greedy.max_independent_set(tree) / n)
-        elif kind == "greedy-tree":
-            values.append(greedy.greedy_peeling(tree).size / n)
+            value = greedy.max_independent_set(sample_uniform(n, child))
         else:
             raise ValueError(f"unknown sweep kind {kind!r}")
+        values.append(value / n)
     return values
 
 

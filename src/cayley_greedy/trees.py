@@ -66,6 +66,12 @@ class CayleyTree:
 
     ``parents[v - 1]`` is the parent of vertex ``v`` for ``1 <= v <= n - 1``;
     the root n has no parent.  Instances are immutable and hashable.
+
+    ``CayleyTree(n, parents)``, :meth:`from_line` and :func:`read_trees`
+    check labels and reject cycles.  Trees the library builds itself
+    (:func:`prufer_decode`, :func:`pitman_sample`,
+    :func:`aldous_broder_sample` and ``peeling.peel_markov``) are valid by
+    construction and come from :meth:`_trusted`, which skips that check.
     """
 
     __slots__ = ("n", "parents")
@@ -79,6 +85,14 @@ class CayleyTree:
         self.n = n
         self.parents = parents
         self._validate()
+
+    @classmethod
+    def _trusted(cls, n: int, parents: Sequence[int]) -> "CayleyTree":
+        """A tree built by the library itself; no validation."""
+        tree = object.__new__(cls)
+        tree.n = n
+        tree.parents = tuple(parents)
+        return tree
 
     def _validate(self) -> None:
         n = self.n
@@ -105,13 +119,6 @@ class CayleyTree:
         if v == self.n:
             raise ValueError("the root has no parent")
         return self.parents[v - 1]
-
-    def children(self) -> list[list[int]]:
-        """children[v] for v in 1..n (index 0 unused)."""
-        out: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for v, p in enumerate(self.parents, start=1):
-            out[p].append(v)
-        return out
 
     def adjacency(self) -> list[list[int]]:
         """Undirected neighbour lists, 1-indexed."""
@@ -187,9 +194,9 @@ def prufer_decode(symbols: Sequence[int], n: int | None = None) -> CayleyTree:
     if len(symbols) != max(n - 2, 0):
         raise ValueError(f"sequence length must be {max(n - 2, 0)} for n={n}")
     if n == 1:
-        return CayleyTree(1, ())
+        return CayleyTree._trusted(1, ())
     if n == 2:
-        return CayleyTree(2, (2,))
+        return CayleyTree._trusted(2, (2,))
     degree = [1] * (n + 1)
     for s in symbols:
         if not 1 <= s <= n:
@@ -215,7 +222,7 @@ def prufer_decode(symbols: Sequence[int], n: int | None = None) -> CayleyTree:
             leaf = ptr
     # vertex n is never consumed in the loop, so it is the last leaf's parent
     parents[leaf - 1] = n
-    return CayleyTree(n, parents)
+    return CayleyTree._trusted(n, parents)
 
 
 def prufer_encode(tree: CayleyTree) -> list[int]:
@@ -333,8 +340,6 @@ def pitman_sample(n: int, rng: RandomSource) -> CayleyTree:
     rooted-at-n convention used everywhere else.
     """
     parent, root = pitman_sample_rooted(n, rng)
-    if n == 1:
-        return CayleyTree(1, ())
 
     def relabel(v: int) -> int:
         if v == root:
@@ -346,7 +351,7 @@ def pitman_sample(n: int, rng: RandomSource) -> CayleyTree:
     parents = [0] * (n - 1)
     for child, par in parent.items():
         parents[relabel(child) - 1] = relabel(par)
-    return CayleyTree(n, parents)
+    return CayleyTree._trusted(n, parents)
 
 
 # --------------------------------------------------------------------------
@@ -380,7 +385,7 @@ def aldous_broder_sample(n: int, rng: RandomSource) -> CayleyTree:
                 if found == n:
                     break
             prev = x
-    return CayleyTree(n, parents)
+    return CayleyTree._trusted(n, parents)
 
 
 def first_repetition_time(n: int, rng: RandomSource) -> int:

@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -174,6 +175,25 @@ def test_max_is_report(capsys):
     )
     payload = json.loads(out)
     assert payload["statistic"] == "max-is_density"
+
+
+#: SHA-256 of the stdout of the tree sweeps, pinned so that faster per-tree
+#: statistics keep every seeded output byte-identical
+SWEEP_SHA256 = {
+    "greedy --n 2000 --replicates 50 --seed 3":
+        "e33e006ad4bb1319e1961d208da4786eade0fca09acf66000219649c95141bbc",
+    "matching --n 800 --replicates 60 --seed 24":
+        "0daecf5bb882eeeef9e4e9294f3d383a37aedc985a9fd4d11c7d639cfaa22193",
+    "max-is --n 800 --replicates 60 --seed 25":
+        "dc2f469f6e5e5e254bee09ce94063a98f07ec213f9573e946009bf2968be7ed8",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SWEEP_SHA256))
+def test_tree_sweep_golden_digest(argv, capsys):
+    code, out = run(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[argv]
 
 
 def test_output_file(tmp_path, capsys):

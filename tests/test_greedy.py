@@ -46,6 +46,7 @@ from cayley_greedy.greedy import (
     write_outcomes_csv,
 )
 from cayley_greedy.stats import EmpiricalDistribution
+from strategies import parent_tables
 
 CENTER_1 = CayleyTree(3, (3, 1))  # path 2-1-3, center 1, rooted at 3
 CENTER_2 = CayleyTree(3, (2, 3))  # path 1-2-3, center 2
@@ -651,8 +652,18 @@ def test_matching_path_three_any_order():
 
 
 def test_matching_requires_edge_permutation():
-    with pytest.raises(ValueError):
-        greedy_matching(CENTER_2, [1, 1])
+    star = prufer_decode([5, 5, 5], 5)  # edges 1..4, all meeting the root 5
+    for tree, order in [
+        (CENTER_2, [1, 1]),
+        (star, [1, 2, 3, 1]),  # a duplicate, met on the last edge
+        (star, [0, 1, 2, 3]),  # 0 is not an edge id
+        (star, [1, 2, 3, 5]),  # n is the root, not an edge id
+        (star, [4, 2, 3, -1]),  # a negative id must not wrap around
+        (star, [1, 2, 3]),  # one edge too short
+        (star, [1, 2, 3, 4, 1]),  # one edge too long
+    ]:
+        with pytest.raises(ValueError, match="permutation"):
+            greedy_matching(tree, order)
 
 
 def test_matching_is_maximal_random():
@@ -685,6 +696,24 @@ def _max_is_brute(tree):
     return best
 
 
+def _max_is_dp(tree):
+    """Two-state tree DP (best set with / without v in v's subtree)."""
+    n = tree.n
+    children = [[] for _ in range(n + 1)]
+    for v, p in tree.edges():
+        children[p].append(v)
+    order = [n]  # breadth first, so children follow their parent
+    for v in order:
+        order.extend(children[v])
+    incl = [1] * (n + 1)
+    excl = [0] * (n + 1)
+    for v in reversed(order):
+        for ch in children[v]:
+            incl[v] += excl[ch]
+            excl[v] += max(incl[ch], excl[ch])
+    return max(incl[n], excl[n])
+
+
 def test_max_is_examples():
     assert max_independent_set(CENTER_2) == 2
     assert max_independent_set(prufer_decode([4, 4], 4)) == 3
@@ -697,6 +726,19 @@ def test_max_is_matches_brute_force_random():
         n = 2 + rng.integer(0, 9)
         t = sample_uniform(n, rng.child(i))
         assert max_independent_set(t) == _max_is_brute(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_max_is_equals_dp_exhaustive(n):
+    for t in enumerate_all(n):
+        assert max_independent_set(t) == _max_is_dp(t)
+
+
+@settings(max_examples=400, deadline=None)
+@given(parent_tables(max_n=60))
+def test_max_is_equals_dp_on_parent_tables(table):
+    t = CayleyTree(*table)
+    assert max_independent_set(t) == _max_is_dp(t)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from cayley_greedy import (
     CayleyTree,
     RandomSource,
+    SmallestLabelRule,
+    UniformRule,
     aldous_broder_sample,
     enumerate_all,
     first_repetition_law,
     first_repetition_time,
+    peel_markov,
     pitman_sample,
     pitman_sample_rooted,
     prufer_decode,
@@ -21,7 +25,13 @@ from cayley_greedy import (
     tree_count,
 )
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
-from cayley_greedy.trees import prufer_from_string, prufer_to_string
+from cayley_greedy.trees import (
+    prufer_from_string,
+    prufer_to_string,
+    read_trees,
+    write_trees,
+)
+from strategies import parent_tables
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +95,14 @@ def test_round_trip_random(n):
         assert prufer_decode(prufer_encode(t), n) == t
 
 
+@settings(max_examples=200, deadline=None)
+@given(parent_tables(max_n=200))
+def test_round_trip_parent_tables(table):
+    t = CayleyTree(*table)
+    if t.n >= 2:
+        assert prufer_decode(prufer_encode(t)) == t
+
+
 def test_enumerate_counts():
     assert sum(1 for _ in enumerate_all(3)) == 3
     assert sum(1 for _ in enumerate_all(4)) == 16
@@ -122,6 +140,16 @@ def test_tree_rejects_cycles_and_bad_labels():
         CayleyTree(3, (3,))  # wrong length
 
 
+def test_from_line_and_read_trees_reject_cycles_and_bad_labels(tmp_path):
+    for line in ("3;2,1", "3;4,3"):  # a cycle, an out-of-range label
+        with pytest.raises(ValueError):
+            CayleyTree.from_line(line)
+        path = tmp_path / "trees.txt"
+        path.write_text("2;2\n" + line + "\n")
+        with pytest.raises(ValueError):
+            read_trees(str(path))
+
+
 def test_tree_serialization_round_trip():
     t = prufer_decode([2, 2, 5], 5)
     assert CayleyTree.from_line(t.to_line()) == t
@@ -135,8 +163,6 @@ def test_prufer_string_round_trip():
 
 
 def test_tree_file_round_trip(tmp_path):
-    from cayley_greedy.trees import read_trees, write_trees
-
     rng = RandomSource(64)
     batch = [sample_uniform(7, rng.child(i)) for i in range(4)]
     path = tmp_path / "trees.txt"
@@ -238,6 +264,22 @@ def test_aldous_broder_chi_square_n4():
     assert len(counts) == 16
     _, p = chi_square_uniform(list(counts.values()))
     assert p > 1e-3
+
+
+def _peel_markov_tree(n, rng):
+    rule = UniformRule(rng.child(1)) if n % 2 else SmallestLabelRule()
+    return peel_markov(n, rule, rng.child(0))[1]
+
+
+@pytest.mark.parametrize("sampler", [
+    sample_uniform, pitman_sample, aldous_broder_sample, _peel_markov_tree,
+], ids=["prufer", "pitman", "aldous-broder", "peel-markov"])
+def test_sampled_trees_pass_validation(sampler):
+    # samplers skip validation; what they build must pass it anyway
+    rng = RandomSource(808)
+    for i, n in enumerate([1, 2, 3, 4, 7, 30, 31, 200, 1001]):
+        t = sampler(n, rng.child(i))
+        assert CayleyTree(t.n, t.parents) == t
 
 
 # ---------------------------------------------------------------------------
