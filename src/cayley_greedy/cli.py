@@ -204,20 +204,35 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    """argparse type for seeds: an integer >= 0, decimal or 0x-prefixed."""
+    value = int(text, 0)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Bad flags exit 2 with one line on stderr, like every other bad input."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(p, with_replicates=False, with_jobs=False, with_format=False):
     p.add_argument("--n", type=int, required=True)
     if with_replicates:
         p.add_argument("--replicates", type=positive_int, default=1000)
     if with_jobs:
         p.add_argument("--jobs", type=positive_int, default=1)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed_int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     if with_format:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cayley-greedy",
         description="Greedy independent sets on uniform labeled trees: "
         "samplers, exact laws, fluid limits, Monte Carlo verification.",
@@ -237,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peel", help="peeling exploration step trace")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed_int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.add_argument("--alg", choices=["unif", "ab", "greedy"], default="unif")
     p.add_argument("--fixed-tree", default=None, metavar="FILE",

@@ -35,27 +35,54 @@ class RandomSource:
     ``(seed, i)`` (or more generally on the path of child indices), so
     replicate ``i`` of a sweep sees identical randomness no matter how the
     replicates are spread over workers.
+
+    A source stores only ``(seed, path)``; its numpy generator is built on
+    the first draw.  Building one costs about 20-25 us (``SeedSequence``
+    plus ``Philox``), more than a short exploration's steps, so a source
+    that only spawns children, and is never drawn from, costs nothing.
+    Negative seeds and path entries are rejected here, not at first draw.
     """
 
-    __slots__ = ("seed", "path", "generator")
+    __slots__ = ("seed", "path", "_generator")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        self.generator = np.random.Generator(np.random.Philox(ss))
+        if self.seed < 0 or any(p < 0 for p in self.path):
+            raise ValueError(
+                f"seed and child indices must be non-negative, "
+                f"got seed={self.seed} path={self.path}"
+            )
+        self._generator = None
+
+    @property
+    def generator(self) -> np.random.Generator:
+        """The stream's numpy generator, built on first use."""
+        if self._generator is None:
+            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
+            self._generator = np.random.Generator(np.random.Philox(ss))
+        return self._generator
 
     def child(self, index: int) -> "RandomSource":
         """Deterministic sub-stream; independent of draws made from self."""
         return RandomSource(self.seed, self.path + (index,))
 
+    # scalar draws are the explorations' hot path: they read the slot, and
+    # go through the property only to build the generator
+
     def uniform(self) -> float:
         """One double in [0, 1)."""
-        return float(self.generator.random())
+        gen = self._generator
+        if gen is None:
+            gen = self.generator
+        return float(gen.random())
 
     def integer(self, low: int, high: int) -> int:
         """One integer in [low, high)."""
-        return int(self.generator.integers(low, high))
+        gen = self._generator
+        if gen is None:
+            gen = self.generator
+        return int(gen.integers(low, high))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomSource(seed={self.seed:#x}, path={self.path})"

@@ -1,12 +1,16 @@
 """Command-line interface: flags, formats, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_greedy import CayleyTree
 from cayley_greedy.cli import main
@@ -55,6 +59,30 @@ def test_peel_markov_ab(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "step,peeled,parent,recolored"
     assert len(lines) == 5  # header + n-1 steps
+
+
+#: SHA-256 of the stdout and of the "final tree:" stderr line of Markov
+#: explorations at fixed seeds; streams that are never drawn from are not
+#: built, and that must not change what the drawn ones give
+PEEL_SHA256 = {
+    "peel --n 4 --alg unif --seed 7": (
+        "328aed879b6d9c1b7544fd5994c989df3bd055e753bb46e96cdf3295aa0e7870",
+        "9e48f816ad5b4ec50f25e46380f33ac699aa988d66319904d6946086e47a9c54"),
+    "peel --n 8 --alg ab --seed 11": (
+        "f583ef7cf3c8cc005d74cc93e75e9b09845b18e13bf352e64e219c772adeb8e8",
+        "6513b5a2e165d21f8fc29ccd71a4db0c89f163262686a79f92757c688435dc49"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PEEL_SHA256))
+def test_peel_markov_golden_digest(argv, capsys):
+    assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    final = [line for line in captured.err.splitlines() if line.startswith("final tree:")]
+    assert len(final) == 1
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (captured.out, final[0]))
+    assert digests == PEEL_SHA256[argv]
 
 
 def test_peel_markov_greedy(capsys):
@@ -243,6 +271,33 @@ def test_nonpositive_counts_exit_two(argv, capsys):
                                                   + argv[-1])
 
 
+#: one subcommand of each parser that takes --seed
+SEEDED_COMMANDS = [
+    ["sample-tree", "--n", "4"],
+    ["enumerate", "--n", "3"],
+    ["peel", "--n", "4"],
+    ["greedy", "--n", "4", "--replicates", "2"],
+    ["chain", "--n", "4", "--replicates", "2"],
+    ["exact-law", "--n", "3"],
+    ["verify-symmetry", "--n", "4", "--mc", "--replicates", "2"],
+    ["clt", "--n", "100", "--replicates", "100"],
+    ["matching", "--n", "4", "--replicates", "2"],
+    ["max-is", "--n", "4", "--replicates", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda a: a[0])
+def test_negative_seed_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--seed", "-1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"cayley-greedy {argv[0]}: error: argument --seed: "
+        "must be a non-negative integer, got -1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--n", "3", "--format", "json"],
     ["exact-law", "--n", "3", "--format", "csv"],
@@ -300,3 +355,83 @@ def test_cli_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Flag grammar
+# ---------------------------------------------------------------------------
+
+#: each subcommand's own flags (--out is left out: it writes files); fluid
+#: takes no other, so every flag drawn for it is foreign
+COMMAND_FLAGS = {
+    "sample-tree": ["--n", "--seed", "--count", "--method"],
+    "enumerate": ["--n", "--seed"],
+    "peel": ["--n", "--seed", "--alg", "--fixed-tree"],
+    "greedy": ["--n", "--seed", "--replicates", "--format"],
+    "chain": ["--n", "--seed", "--replicates", "--format"],
+    "exact-law": ["--n", "--seed"],
+    "verify-symmetry": ["--n", "--seed", "--replicates", "--exact", "--mc",
+                        "--cross-check"],
+    "clt": ["--n", "--seed", "--replicates", "--format"],
+    "matching": ["--n", "--seed", "--replicates", "--jobs"],
+    "max-is": ["--n", "--seed", "--replicates", "--jobs"],
+    "fluid": [],
+}
+
+#: every flag with the values tried for it; sizes stay tiny and --jobs
+#: never asks for a second process
+FLAG_VALUES = {
+    "--n": ["-1", "0", "1", "2", "3", "5", "0x3", "x"],
+    "--seed": ["0", "7", "-1", "0x1F", "-0x2", "abc"],
+    "--replicates": ["1", "3", "0", "-2"],
+    "--count": ["1", "3", "0", "-2"],
+    "--jobs": ["1", "0", "-1"],
+    "--method": ["prufer", "pitman", "aldous-broder", "bogus"],
+    "--alg": ["unif", "ab", "greedy", "bogus"],
+    "--format": ["csv", "json", "xml"],
+    "--fixed-tree": ["no-such-tree-file.txt"],
+    "--exact": [],
+    "--mc": [],
+    "--cross-check": [],
+}
+
+#: a valid size, put first in three lines out of four so that commands
+#: run to the end; clt refuses fewer than 100 vertices or replicates
+SIZES = {"clt": ["--n", "100", "--replicates", "100"]}
+
+
+def flag_use(flags):
+    """(flag, value) with a value of the flag's own; None leaves it out."""
+    return st.sampled_from(flags).flatmap(lambda flag: st.tuples(
+        st.just(flag), st.sampled_from([*FLAG_VALUES[flag], None])))
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from([*COMMAND_FLAGS, "bogus"]))
+    argv = [command]
+    if draw(st.integers(0, 3)) > 0:
+        argv += SIZES.get(command, ["--n", draw(st.sampled_from(["1", "4"]))])
+    # the command's own flags, then in a quarter of the lines any flag at all
+    own = COMMAND_FLAGS.get(command) or sorted(FLAG_VALUES)
+    flags = draw(st.lists(flag_use(own), max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(flag_use(sorted(FLAG_VALUES))))
+    for flag, value in flags:
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=command_lines())
+def test_flag_grammar_never_raises(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines()[-1].startswith("cayley-greedy")

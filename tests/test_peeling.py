@@ -1,5 +1,6 @@
 """Peeling explorations: forest state, containment counts, Markov property."""
 
+import hashlib
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -292,6 +293,14 @@ def test_first_branch_law_n3_values():
 @pytest.mark.parametrize("n", [3, 5, 10, 40])
 def test_first_branch_law_normalizes(n):
     assert sum(first_branch_law(n).values()) == 1
+
+
+def test_first_branch_length_golden_digest():
+    # taken at a fixed seed, so a change in stream use or in the one-step
+    # law's draws shows up as a digest change
+    lengths = [first_branch_length(10, RandomSource(5).child(i)) for i in range(50)]
+    assert hashlib.sha256(repr(lengths).encode()).hexdigest() == (
+        "ea286a068c35f4fff46dc0298546b80abe62b65bdd45bc72280959dace0ba396")
 
 
 def test_first_branch_length_empirical():

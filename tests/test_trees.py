@@ -1,9 +1,11 @@
 """Trees: Pruefer correspondence, samplers, enumeration, serialization."""
 
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -186,6 +188,60 @@ def test_random_source_children_insensitive_to_parent_draws():
     r2 = RandomSource(5)
     assert r1.child(3).uniform() == r2.child(3).uniform()
     assert r1.child(1).uniform() != r1.child(2).uniform()
+    # a child's draws do not depend on whether its parent's generator was
+    # ever built: drawn from, built without a draw, or never built
+    drawn, built, unbuilt = RandomSource(5), RandomSource(5), RandomSource(5)
+    drawn.integer(0, 10)
+    built.generator
+    draws = [
+        [(c.uniform(), c.integer(0, 1000)) for _ in range(4)]
+        for c in (drawn.child(3).child(0), built.child(3).child(0),
+                  unbuilt.child(3).child(0))
+    ]
+    assert draws[0] == draws[1] == draws[2]
+
+
+def test_random_source_draws_golden_digest():
+    # taken when the generator was built eagerly in the constructor; a
+    # stream depends only on (seed, path), however it is built
+    h = hashlib.sha256()
+    for seed, path in [(0, ()), (5, (3,)), (2024, (1, 0)), (0x5EED, (7, 2, 9)),
+                       (2**40 + 3, (123456,))]:
+        r = RandomSource(seed, path)
+        scalars = ([r.uniform() for _ in range(3)]
+                   + [r.integer(1, 1000) for _ in range(3)])
+        h.update(repr(scalars).encode())
+        h.update(r.generator.random((4, 8)).tobytes())
+        h.update(r.generator.permutation(10).tobytes())
+    assert h.hexdigest() == (
+        "062de466251616d7272cc87393752bf86b3864579e44396e68426fb7ca33001f")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RandomSource(-1),
+    lambda: RandomSource(1, (2, -1)),
+    lambda: RandomSource(1).child(-1),
+])
+def test_random_source_rejects_negative_at_construction(build):
+    with pytest.raises(ValueError, match="non-negative"):
+        build()
+
+
+def test_ab_exploration_builds_one_generator(monkeypatch):
+    # built like the markov_peel workload: master.child(i), then
+    # .child(0); only the stream drawn from gets a generator
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    master = RandomSource(17)
+    child = master.child(3)
+    peel_markov(4, SmallestLabelRule(), child.child(0))
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
