@@ -219,13 +219,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p, with_replicates=False, with_jobs=False, with_format=False):
+def _add_common(p, with_replicates=False, with_jobs=False, with_format=False,
+                with_seed=True):
     p.add_argument("--n", type=int, required=True)
     if with_replicates:
         p.add_argument("--replicates", type=positive_int, default=1000)
     if with_jobs:
         p.add_argument("--jobs", type=positive_int, default=1)
-    p.add_argument("--seed", type=seed_int, default=DEFAULT_SEED)
+    if with_seed:
+        p.add_argument("--seed", type=seed_int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     if with_format:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample_tree)
 
     p = sub.add_parser("enumerate", help="every tree of size n, one per line")
-    _add_common(p)
+    _add_common(p, with_seed=False)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("peel", help="peeling exploration step trace")
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("exact-law", help="exact outcome law by dynamic programming")
-    _add_common(p)
+    _add_common(p, with_seed=False)
     p.set_defaults(func=cmd_exact_law)
 
     p = sub.add_parser("verify-symmetry", help="law(G) vs law((n-G)+E)")

@@ -34,6 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -51,6 +52,10 @@ class VertexStatus(IntEnum):
     UNDETERMINED = 0
     ACTIVE = 1
     BLOCKED = 2
+
+
+#: VertexStatus values as plain ints, for the status bytearray of _greedy_walk
+_ACTIVE, _BLOCKED = int(VertexStatus.ACTIVE), int(VertexStatus.BLOCKED)
 
 
 class StatusCounts(NamedTuple):
@@ -121,9 +126,8 @@ def _greedy_walk(
     activation order, inspections, root-last flag).
     """
     status = bytearray(n + 1)  # VertexStatus values
-    ACTIVE, BLOCKED = int(VertexStatus.ACTIVE), int(VertexStatus.BLOCKED)
     active: list[int] = []
-    state = StatusCounts(n, 0, 0, 0, 0)
+    state = StatusCounts(n, 0, 0, 0, 0) if counts is not None else None
     undetermined = n
     inspections = 0
     root_last = 0
@@ -136,17 +140,17 @@ def _greedy_walk(
         paired = 0
         if v == n:
             root_last = 1
-            status[v] = ACTIVE
+            status[v] = _ACTIVE
         else:
             w = parent(v)
             if steps is not None:
                 steps.append(PeelStep(peeled=v, parent=w, recolored_to_blue=blue[w]))
             blue[v] = blue[w]
             if not status[w]:
-                status[w] = BLOCKED
+                status[w] = _BLOCKED
                 paired = w
-            status[v] = BLOCKED if status[w] == ACTIVE else ACTIVE
-        if status[v] == ACTIVE:
+            status[v] = _BLOCKED if status[w] == _ACTIVE else _ACTIVE
+        if status[v] == _ACTIVE:
             active.append(v)
         undetermined -= 2 if paired else 1
         if counts is not None:
@@ -154,7 +158,7 @@ def _greedy_walk(
             new = [undetermined, *state[1:]]
             new[status[v] + 2 * blue[v]] += 1
             if paired:
-                new[BLOCKED + 2 * blue[paired]] += 1
+                new[_BLOCKED + 2 * blue[paired]] += 1
             after = StatusCounts(*new)
             assert sum(after) == n, "status counts must always sum to n"
             counts.append((state, after))
@@ -439,61 +443,72 @@ def _chain_block(
 class GreedyLaw:
     """Exact joint law of (size, steps, root_last) for the status chain.
 
-    ``joint`` maps (size, steps, root_last) to an exact probability.
+    ``joint`` maps (size, steps, root_last) to an exact probability.  The
+    marginals, the normalisation check and the moments are sums of integers:
+    every probability is held as a numerator over one common denominator,
+    the lcm of the joint's denominators, and each result builds a single
+    Fraction from its summed numerator.
     """
 
     def __init__(self, n: int, joint: dict[tuple[int, int, int], Fraction]):
         self.n = n
         self.joint = joint
-        total = sum(joint.values())
+        den = math.lcm(*(p.denominator for p in joint.values()))
+        self._den = den
+        self._numerators = [
+            (key, p.numerator * (den // p.denominator)) for key, p in joint.items()
+        ]
+        total = self._law(lambda key: 0).get(0, 0)
         if total != 1:
             raise AssertionError(f"law does not normalize: {total}")
 
-    def _marginal(self, index: int) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = defaultdict(Fraction)
-        for key, p in self.joint.items():
-            out[key[index]] += p
-        return dict(out)
+    def _sums(self, value: Callable[[tuple[int, int, int]], int]) -> dict[int, int]:
+        """Summed numerators, over the common denominator, by ``value(key)``."""
+        out: dict[int, int] = defaultdict(int)
+        for key, num in self._numerators:
+            out[value(key)] += num
+        return out
+
+    def _law(self, value: Callable[[tuple[int, int, int]], int]) -> dict[int, Fraction]:
+        return {x: Fraction(num, self._den) for x, num in self._sums(value).items()}
+
+    def _power_sums(self, index: int) -> tuple[int, int]:
+        """E[X] and E[X^2] times the common denominator, for X = key[index]."""
+        s1 = s2 = 0
+        for x, num in self._sums(itemgetter(index)).items():
+            s1 += x * num
+            s2 += x * x * num
+        return s1, s2
+
+    def _variance(self, index: int) -> Fraction:
+        s1, s2 = self._power_sums(index)
+        return Fraction(s2 * self._den - s1 * s1, self._den ** 2)
 
     def size_law(self) -> dict[int, Fraction]:
-        return self._marginal(0)
+        return self._law(itemgetter(0))
 
     def steps_law(self) -> dict[int, Fraction]:
-        return self._marginal(1)
+        return self._law(itemgetter(1))
 
     def root_last_probability(self) -> Fraction:
-        return sum(
-            (p for k, p in self.joint.items() if k[2] == 1), start=Fraction(0)
-        )
+        return self._law(itemgetter(2)).get(1, Fraction(0))
 
     def complement_law(self) -> dict[int, Fraction]:
         """Law of (n - size) + root_last."""
-        out: dict[int, Fraction] = defaultdict(Fraction)
-        for (g, _, e), p in self.joint.items():
-            out[(self.n - g) + e] += p
-        return dict(out)
+        n = self.n
+        return self._law(lambda key: (n - key[0]) + key[2])
 
     def size_mean(self) -> Fraction:
-        return sum((Fraction(g) * p for g, p in self.size_law().items()),
-                   start=Fraction(0))
+        return Fraction(self._power_sums(0)[0], self._den)
 
     def size_variance(self) -> Fraction:
-        m = self.size_mean()
-        return sum(
-            ((Fraction(g) - m) ** 2 * p for g, p in self.size_law().items()),
-            start=Fraction(0),
-        )
+        return self._variance(0)
 
     def steps_mean(self) -> Fraction:
-        return sum((Fraction(t) * p for t, p in self.steps_law().items()),
-                   start=Fraction(0))
+        return Fraction(self._power_sums(1)[0], self._den)
 
     def steps_variance(self) -> Fraction:
-        m = self.steps_mean()
-        return sum(
-            ((Fraction(t) - m) ** 2 * p for t, p in self.steps_law().items()),
-            start=Fraction(0),
-        )
+        return self._variance(1)
 
 
 def _blue_split_weights(cmax: int) -> dict[int, dict[int, int]]:
@@ -528,7 +543,11 @@ def exact_chain_law(n: int, cap: int | None = None) -> GreedyLaw:
     denominator n^step.  The assembly stays in integers too: every joint
     key with stopping step theta sums its numerator over the one
     denominator n^theta * (cmax - 1)!, where cmax is the largest blue
-    count, and a Fraction is built once per joint key.  Cross-checked
+    count, and a Fraction is built once per joint key.  Each absorbed row
+    with c blues is convolved with the split weights of its own c, whose
+    denominator is (c - 1)!, and the partial row is scaled once, by
+    (cmax - 1)!/(c - 1)!, as it is added to its (theta, root_last) row;
+    so the inner products stay small for small c.  Cross-checked
     against the full five-count chain and against exhaustive tree
     enumeration in the test suite.
     """
@@ -585,20 +604,20 @@ def exact_chain_law(n: int, cap: int | None = None) -> GreedyLaw:
     cmax = max(c for c, _, _ in absorbed)
     top = math.factorial(cmax - 1)
     split = _blue_split_weights(cmax)
-    # scaled[c]: blue-active count -> weight over the common (cmax - 1)!
-    scaled = {
-        c: [(a, wa * (top // math.factorial(c - 1))) for a, wa in table.items()]
-        for c, table in split.items()
-    }
-    scaled[1] = [(1, top)]  # root last: the root itself is the one blue active
+    split[1] = {1: 1}  # root last: the root itself is the one blue active
     # numer[(theta, e)][g]: numerator of P(size g, steps theta, root_last e)
     numer: dict[tuple[int, int], list[int]] = {}
     for c, theta, ws in absorbed:
-        acc = numer.setdefault((theta, int(c == 1)), [0] * (n + 1))
+        partial = [0] * (n + 1)
         nonzero = [(aw, w) for aw, w in enumerate(ws) if w]
-        for a, s in scaled[c]:
+        for a, s in split[c].items():
             for aw, w in nonzero:
-                acc[aw + a] += w * s
+                partial[aw + a] += w * s
+        scale = top // math.factorial(c - 1)
+        acc = numer.setdefault((theta, int(c == 1)), [0] * (n + 1))
+        for g, x in enumerate(partial):
+            if x:
+                acc[g] += x * scale
     return GreedyLaw(n, {
         (g, theta, e): Fraction(num, n ** theta * top)
         for (theta, e), acc in numer.items()
@@ -636,11 +655,15 @@ def reference_chain_law(n: int) -> GreedyLaw:
 
 
 def enumeration_law(n: int, cap: int | None = None) -> GreedyLaw:
-    """Joint outcome law from exhaustive enumeration of all n^(n-2) trees."""
+    """Joint outcome law from exhaustive enumeration of all n^(n-2) trees.
+
+    Each tree's outcome is tallied straight from :func:`_greedy_walk`, the
+    walk behind :func:`greedy_peeling`.
+    """
     counter: dict[tuple[int, int, int], int] = defaultdict(int)
     for tree in enumerate_all(n, cap=cap):
-        out = greedy_peeling(tree)
-        counter[(out.size, out.steps, out.root_last)] += 1
+        active, steps, root_last = _greedy_walk(n, tree.parent_of, [False] * n + [True])
+        counter[(len(active), steps, root_last)] += 1
     total = tree_count(n)
     return GreedyLaw(n, {k: Fraction(v, total) for k, v in counter.items()})
 

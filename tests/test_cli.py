@@ -274,11 +274,9 @@ def test_nonpositive_counts_exit_two(argv, capsys):
 #: one subcommand of each parser that takes --seed
 SEEDED_COMMANDS = [
     ["sample-tree", "--n", "4"],
-    ["enumerate", "--n", "3"],
     ["peel", "--n", "4"],
     ["greedy", "--n", "4", "--replicates", "2"],
     ["chain", "--n", "4", "--replicates", "2"],
-    ["exact-law", "--n", "3"],
     ["verify-symmetry", "--n", "4", "--mc", "--replicates", "2"],
     ["clt", "--n", "100", "--replicates", "100"],
     ["matching", "--n", "4", "--replicates", "2"],
@@ -302,11 +300,17 @@ def test_negative_seed_exits_two(argv, capsys):
     ["enumerate", "--n", "3", "--format", "json"],
     ["exact-law", "--n", "3", "--format", "csv"],
     ["peel", "--n", "5", "--markov"],
+    # deterministic commands read no seed
+    ["enumerate", "--n", "3", "--seed", "5"],
+    ["exact-law", "--n", "3", "--seed", "5"],
 ])
 def test_flags_that_do_nothing_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def _bad_input_cases(tmp_path):
@@ -365,11 +369,11 @@ def test_cli_import_leaves_scipy_unloaded():
 #: takes no other, so every flag drawn for it is foreign
 COMMAND_FLAGS = {
     "sample-tree": ["--n", "--seed", "--count", "--method"],
-    "enumerate": ["--n", "--seed"],
+    "enumerate": ["--n"],
     "peel": ["--n", "--seed", "--alg", "--fixed-tree"],
     "greedy": ["--n", "--seed", "--replicates", "--format"],
     "chain": ["--n", "--seed", "--replicates", "--format"],
-    "exact-law": ["--n", "--seed"],
+    "exact-law": ["--n"],
     "verify-symmetry": ["--n", "--seed", "--replicates", "--exact", "--mc",
                         "--cross-check"],
     "clt": ["--n", "--seed", "--replicates", "--format"],

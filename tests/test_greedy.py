@@ -36,6 +36,7 @@ from cayley_greedy.greedy import (
     CHAIN_BLOCK,
     CHAIN_DELTA,
     ChainColumn,
+    GreedyLaw,
     _blue_split_weights,
     _chain_block,
     chain_weights,
@@ -552,8 +553,10 @@ def test_exact_law_equals_reference_chain(n):
 
 #: SHA-256 of the sorted-key JSON of law_to_json_dict(exact_chain_law(n)),
 #: captured from the tuple-keyed DP that assembled the law in Fractions
+#: (n = 25, 60), and from GreedyLaw's Fraction-sum marginals (n = 40)
 EXACT_LAW_SHA256 = {
     25: "53711ae8c93034de55f4e8d9cbdf57416f0d69a20ea4b1a4251ce69b9161f457",
+    40: "134b9a2481f77c478d4f8069c68ef968878c50bc5890f0447c99e15f6adfa67b",
     60: "3f7886cc0e49596f1bad89794205cb64953dc78410ce23f22e84f390e8d17b5b",
 }
 
@@ -565,6 +568,109 @@ def test_exact_law_golden_digest(n):
     assert hashlib.sha256(text.encode()).hexdigest() == EXACT_LAW_SHA256[n]
     # a zero-probability key would add an entry to the marginals' JSON
     assert all(p > 0 for p in law.joint.values())
+
+
+#: SHA-256 of the "g,theta,e,p/q" lines of the sorted enumeration_law(7).joint,
+#: captured when each tree's outcome came through greedy_peeling
+ENUMERATION_LAW_7_SHA256 = "3cac2424fc1cb1685c863906e400c2b8456cd6fae43547ccfee88e028d0563fd"
+
+
+def test_enumeration_law_golden_digest():
+    joint = enumeration_law(7).joint
+    text = "".join(f"{g},{t},{e},{p.numerator}/{p.denominator}\n"
+                   for (g, t, e), p in sorted(joint.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_LAW_7_SHA256
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_law_equals_peeling_tally(n):
+    tally = Counter()
+    for t in enumerate_all(n):
+        out = greedy_peeling(t)
+        tally[(out.size, out.steps, out.root_last)] += 1
+    expected = {key: Fraction(count, tree_count(n)) for key, count in tally.items()}
+    assert enumeration_law(n).joint == expected
+
+
+def _fraction_sum_summary(law):
+    """Marginals and moments as GreedyLaw formed them before its integer sums,
+    one Fraction addition per joint key, kept as the reference."""
+    def marginal(index):
+        out = defaultdict(Fraction)
+        for key, p in law.joint.items():
+            out[key[index]] += p
+        return dict(out)
+
+    def mean_variance(dist):
+        m = sum((Fraction(x) * p for x, p in dist.items()), start=Fraction(0))
+        v = sum(((Fraction(x) - m) ** 2 * p for x, p in dist.items()), start=Fraction(0))
+        return m, v
+
+    complement = defaultdict(Fraction)
+    for (g, _, e), p in law.joint.items():
+        complement[(law.n - g) + e] += p
+    size, steps = marginal(0), marginal(1)
+    return {
+        "size_law": size,
+        "steps_law": steps,
+        "complement_law": dict(complement),
+        "root_last_probability": sum(
+            (p for k, p in law.joint.items() if k[2] == 1), start=Fraction(0)),
+        "size_moments": mean_variance(size),
+        "steps_moments": mean_variance(steps),
+    }
+
+
+def _library_summary(law):
+    return {
+        "size_law": law.size_law(),
+        "steps_law": law.steps_law(),
+        "complement_law": law.complement_law(),
+        "root_last_probability": law.root_last_probability(),
+        "size_moments": (law.size_mean(), law.size_variance()),
+        "steps_moments": (law.steps_mean(), law.steps_variance()),
+    }
+
+
+def _fractions_in(summary):
+    for value in summary.values():
+        if isinstance(value, dict):
+            yield from value.values()
+        elif isinstance(value, tuple):
+            yield from value
+        else:
+            yield value
+
+
+@pytest.mark.parametrize("source,sizes", [
+    (exact_chain_law, range(1, 31)),
+    (enumeration_law, range(1, 8)),
+], ids=["dp", "enumeration"])
+def test_law_integer_sums_equal_fraction_sums(source, sizes):
+    for n in sizes:
+        law = source(n)
+        got = _library_summary(law)
+        assert got == _fraction_sum_summary(law), n
+        assert all(type(x) is Fraction for x in _fractions_in(got)), n
+
+
+def test_law_integer_sums_over_an_lcm_no_term_has():
+    # the common denominator 30 is none of the joint's denominators
+    law = GreedyLaw(3, {(1, 2, 0): Fraction(1, 6), (2, 2, 0): Fraction(1, 10),
+                        (2, 3, 1): Fraction(11, 15)})
+    assert _library_summary(law) == _fraction_sum_summary(law)
+    assert law.size_law() == {1: Fraction(1, 6), 2: Fraction(5, 6)}
+    assert law.root_last_probability() == Fraction(11, 15)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 30])
+def test_law_short_of_one_does_not_normalize(n):
+    joint = dict(exact_chain_law(n).joint)
+    key = max(joint, key=joint.get)
+    joint[key] -= Fraction(1, n ** 3)
+    assert sum(joint.values()) == 1 - Fraction(1, n ** 3)
+    with pytest.raises(AssertionError, match="does not normalize"):
+        GreedyLaw(n, joint)
 
 
 def test_blue_split_weights_sum_to_factorial():
