@@ -16,9 +16,10 @@
   outcome triple (set size, stopping step, root-last indicator) can be
   simulated in O(stopping step) with no tree at all
   (:func:`simulate_status_chain_many`) and computed exactly by dynamic
-  programming (:func:`exact_chain_law`).  Its transition rule is written
-  once: column weights in :func:`chain_weights`, moves in
-  :data:`CHAIN_DELTA`.
+  programming (:func:`exact_chain_law`), which visits each state once in
+  decreasing undetermined count and carries the stopping step packed in
+  the slots of one integer.  Its transition rule is written once: column
+  weights in :func:`chain_weights`, moves in :data:`CHAIN_DELTA`.
 
 Here *blue* means "in the component of the root n" exactly as in the
 peeling exploration; the root-last indicator records the event that at
@@ -529,57 +530,38 @@ def _blue_split_weights(cmax: int) -> dict[int, dict[int, int]]:
     return table
 
 
-def exact_chain_law(n: int, cap: int | None = None) -> GreedyLaw:
-    """Exact joint law of (size, steps, root_last) by forward DP.
+def _absorbed_rows(n: int, width: int) -> dict[int, list[int]]:
+    """Forward pass of :func:`exact_chain_law`: absorbed rows by blue count.
 
-    The five counts reduce to the Markov triple (undetermined, active-white,
-    blue-count): white counts determine each other through the total, and
-    given the number of blue determined vertices the split into blue
-    active / blue blocked is an independent exchange process
-    (:func:`_blue_split_weights`).  Live states are rows: one list of
-    integer weights indexed by the active-white count per (undetermined,
-    blue-count) pair, so each transition is a shifted add along a row.
-    Stepping synchronously keeps every weight an integer over the common
-    denominator n^step.  The assembly stays in integers too: every joint
-    key with stopping step theta sums its numerator over the one
-    denominator n^theta * (cmax - 1)!, where cmax is the largest blue
-    count, and a Fraction is built once per joint key.  Each absorbed row
-    with c blues is convolved with the split weights of its own c, whose
-    denominator is (c - 1)!, and the partial row is scaled once, by
-    (cmax - 1)!/(c - 1)!, as it is added to its (theta, root_last) row;
-    so the inner products stay small for small c.  Cross-checked
-    against the full five-count chain and against exhaustive tree
-    enumeration in the test suite.
+    Rows are keyed by (undetermined u, blue count c) and indexed by the
+    active-white count; each entry packs the step axis into slots of
+    ``width`` bytes (see :func:`exact_chain_law`).  Layers are processed in
+    decreasing u and each row is dropped as it is processed, so only
+    layers u - 1 and u - 2 stay live besides the absorbed rows.
     """
-    limit = cap if cap is not None else _cap(DEFAULT_LAW_CAP)
-    if n > limit:
-        raise ValueError(f"n={n} above the exact-law cap {limit}")
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    # live rows: (undetermined, blue_count) -> weights by active_white, over
-    # the denominator n^step; a row is made only when it gets a nonzero
-    # weight.  blue_count == 1 only in the root-last terminal row.
-    states: dict[tuple[int, int], list[int]] = {(n, 0): [1]}
-    absorbed: list[tuple[int, int, list[int]]] = []  # (blue_count, step, row)
-    nxt: dict[tuple[int, int], list[int]] = {}
+    shift = 8 * width
+    # layers[u]: c -> packed weights by active_white; a row is made only
+    # when it gets a nonzero weight.  c == 1 only in the root-last row of
+    # layers[0], which collects the absorbed rows.
+    layers: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    layers[n][0] = [1]
 
     def row(u: int, c: int) -> list[int]:
-        r = nxt.get((u, c))
+        r = layers[u].get(c)
         if r is None:
-            r = nxt[(u, c)] = [0] * (n - u - c + 1)
+            r = layers[u][c] = [0] * (n - u - c + 1)
         return r
 
-    step = 0
-    while states:
-        step += 1
-        nxt = {}
-        for (u, c), ws in states.items():
+    for u in range(n, 0, -1):
+        layer = layers[u]
+        while layer:
+            c, ws = layer.popitem()
             pair_w, blue_w = chain_weights(u, c)
             if pair_w < 0:  # the root activates last
-                nxt[(0, 1)] = [w * n for w in ws]
+                layers[0][1] = [w * n for w in ws]
                 continue
             # the blue column lands on (pair_w, blue_w): (u - 2, 2) when the
-            # root connects, (u - 1, c + 1) after
+            # root connects, a two-vertex move, and (u - 1, c + 1) after
             blue = row(pair_w, blue_w)
             pair = row(u - 2, c) if pair_w else None
             free = n - u - c  # active_white + blocked_white
@@ -587,42 +569,98 @@ def exact_chain_law(n: int, cap: int | None = None) -> GreedyLaw:
             for aw, w in enumerate(ws):
                 if not w:
                     continue
+                shifted = w << shift  # one more two-vertex move
                 if pair is not None:
-                    pair[aw + 1] += w * pair_w
+                    pair[aw + 1] += shifted * pair_w
                 if aw:
                     white[aw] += w * aw
                 if free - aw:
                     white[aw + 1] += w * (free - aw)
-                blue[aw] += w * blue_w
-        states = {}
-        for (u, c), ws in nxt.items():
-            if u == 0:
-                absorbed.append((c, step, ws))
-            else:
-                states[(u, c)] = ws
+                blue[aw] += (w if c else shifted) * blue_w
+    return layers[0]
 
-    cmax = max(c for c, _, _ in absorbed)
+
+def _widen(x: int, slots: int, width: int, wide: int) -> int:
+    """``x`` with each of its ``slots`` slots of ``width`` bytes padded to ``wide``."""
+    raw = np.zeros((slots, wide), dtype=np.uint8)
+    raw[:, :width] = np.frombuffer(
+        x.to_bytes(slots * width, "little"), dtype=np.uint8
+    ).reshape(slots, width)
+    return int.from_bytes(raw.tobytes(), "little")
+
+
+def exact_chain_law(n: int, cap: int | None = None) -> GreedyLaw:
+    """Exact joint law of (size, steps, root_last) by forward DP.
+
+    The five counts reduce to the Markov triple (undetermined, active-white,
+    blue-count): white counts determine each other through the total, and
+    given the number of blue determined vertices the split into blue
+    active / blue blocked is an independent exchange process
+    (:func:`_blue_split_weights`).  Live states are rows: one list indexed
+    by the active-white count per (undetermined u, blue-count c) pair, so
+    each transition is a shifted add along a row.
+
+    * Order.  Every move lowers u by 1 or 2, so the layers u = n, ..., 1
+      are processed once each, in decreasing u (:func:`_absorbed_rows`),
+      and paths of different lengths that reach the same state are merged.
+    * Packed step axis.  Each row entry is one Python int.  Its slot d
+      holds the weight of the paths with d two-vertex moves (the pair move
+      and the root connection) as a numerator over n^theta, where
+      theta = n - u - d is the number of steps taken.  The slot width B is
+      the bit length of n^n rounded up to whole bytes; no slot can exceed
+      n^theta <= n^n, so slots never carry into each other.  A one-vertex
+      move multiplies the int by its :func:`chain_weights` weight, and a
+      two-vertex move also shifts it left by B.  The forced root-last move
+      from (1, 0) multiplies the row by n.
+    * Assembly.  Each absorbed row with c blues is widened, by byte
+      padding, to slots of B2 >= bits(n^n * (cmax - 1)!), where cmax is
+      the largest blue count, and convolved with the split weights of its
+      own c, whose denominator is (c - 1)!.  The partial row is scaled by
+      (cmax - 1)!/(c - 1)! as it is added to the row of its root-last flag
+      e, so every joint key with stopping step theta sums its numerator
+      over the one denominator n^theta * (cmax - 1)!.  Each (e, size) int
+      is unpacked once, and a Fraction is built once per joint key.
+
+    Cross-checked against the full five-count chain and against exhaustive
+    tree enumeration in the test suite.
+    """
+    limit = cap if cap is not None else _cap(DEFAULT_LAW_CAP)
+    if n > limit:
+        raise ValueError(f"n={n} above the exact-law cap {limit}")
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    width = -(-(n ** n).bit_length() // 8)  # B, in bytes
+    absorbed = _absorbed_rows(n, width)
+    cmax = max(absorbed)
     top = math.factorial(cmax - 1)
+    wide = -(-(n ** n * top).bit_length() // 8)  # B2, in bytes
+    slots = n // 2 + 1  # at most n/2 two-vertex moves
     split = _blue_split_weights(cmax)
     split[1] = {1: 1}  # root last: the root itself is the one blue active
-    # numer[(theta, e)][g]: numerator of P(size g, steps theta, root_last e)
-    numer: dict[tuple[int, int], list[int]] = {}
-    for c, theta, ws in absorbed:
+    # numer[e][g]: slot d holds the numerator of P(size g, steps n - d,
+    # root_last e) over n^(n - d) * top
+    numer = [[0] * (n + 1), [0] * (n + 1)]
+    for c, ws in absorbed.items():
+        nonzero = [(aw, _widen(w, slots, width, wide)) for aw, w in enumerate(ws) if w]
         partial = [0] * (n + 1)
-        nonzero = [(aw, w) for aw, w in enumerate(ws) if w]
         for a, s in split[c].items():
             for aw, w in nonzero:
                 partial[aw + a] += w * s
         scale = top // math.factorial(c - 1)
-        acc = numer.setdefault((theta, int(c == 1)), [0] * (n + 1))
+        acc = numer[c == 1]
         for g, x in enumerate(partial):
             if x:
                 acc[g] += x * scale
-    return GreedyLaw(n, {
-        (g, theta, e): Fraction(num, n ** theta * top)
-        for (theta, e), acc in numer.items()
-        for g, num in enumerate(acc) if num
-    })
+    dens = [n ** (n - d) * top for d in range(slots)]
+    joint = {}
+    for e, acc in enumerate(numer):
+        for g, x in enumerate(acc):
+            packed = x.to_bytes(slots * wide, "little")
+            for d, den in enumerate(dens):
+                num = int.from_bytes(packed[d * wide:(d + 1) * wide], "little")
+                if num:
+                    joint[(g, n - d, e)] = Fraction(num, den)
+    return GreedyLaw(n, joint)
 
 
 def reference_chain_law(n: int) -> GreedyLaw:

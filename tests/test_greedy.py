@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -546,9 +547,22 @@ def test_exact_law_equals_enumeration(n):
     assert exact_chain_law(n).joint == enumeration_law(n).joint
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 12])
+@pytest.mark.parametrize("n", range(1, 15))
 def test_exact_law_equals_reference_chain(n):
+    # the packed slot is n^n's bit length rounded up to whole bytes: 1 byte
+    # up to n = 3, 7 bytes at n = 13, 14; 6^6 fills its 2 bytes exactly
     assert exact_chain_law(n).joint == reference_chain_law(n).joint
+
+
+def test_exact_law_peak_memory():
+    # only the layers u - 1 and u - 2 and the absorbed rows stay live
+    tracemalloc.start()
+    try:
+        exact_chain_law(60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 #: SHA-256 of the sorted-key JSON of law_to_json_dict(exact_chain_law(n)),

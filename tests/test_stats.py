@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cayley_greedy import (
@@ -14,11 +15,13 @@ from cayley_greedy import (
     clt_experiment,
     exact_chain_law,
     ks_gaussian,
+    simulate_status_chain_many,
     symmetry_experiment_mc,
     total_variation,
     tree_sweep_experiment,
 )
 from cayley_greedy.stats import (
+    gaussian_lattice_distance,
     greedy_ratio_experiment,
     sweep_workers,
     write_reports_csv,
@@ -92,11 +95,67 @@ def test_chi_square_monotone_in_statistic():
 
 def test_ks_gaussian_sane():
     gen = RandomSource(55).generator
-    good = gen.normal(0, 0.25, size=4000)
-    _, p_good = ks_gaussian(good, 0.0, 1 / 16)
+    good = np.rint(gen.normal(100.0, 5.0, size=4000)).astype(np.int64)
+    _, p_good = ks_gaussian(good, 100.0, 25.0)
     assert p_good > 1e-2
-    _, p_bad = ks_gaussian(good + 0.5, 0.0, 1 / 16)
+    _, p_bad = ks_gaussian(good + 2, 100.0, 25.0)
     assert p_bad < 1e-6
+    with pytest.raises(ValueError, match="integer"):
+        ks_gaussian(good / 2, 50.0, 25.0 / 4)
+
+
+def test_ks_gaussian_compares_at_every_integer_in_range():
+    # a law on {0, 2}: the largest gap is at k = 1, where no sample lies;
+    # there the model CDF is Phi(0) = 1/2 and the empirical CDF is 1/10
+    samples = np.array([0] * 10 + [2] * 90)
+    stat, _ = ks_gaussian(samples, 1.5, 0.25)
+    assert stat == pytest.approx(0.4, abs=1e-12)
+    law = {0: Fraction(1, 10), 2: Fraction(9, 10)}
+    assert gaussian_lattice_distance(law, 1.5, 0.25) == pytest.approx(stat, abs=1e-15)
+    # a point mass 9 sd above the mean: at k = 300 both CDFs are about 1,
+    # and the whole gap, Phi((299.5 - mean)/sd) ~ 1, is at k = 299, one
+    # below the smallest sample, where the empirical CDF is 0
+    stat, _ = ks_gaussian(np.full(10_000, 300), 250.125, 31.25)
+    assert stat == pytest.approx(1.0, abs=1e-12)
+    assert gaussian_lattice_distance({300: Fraction(1)}, 250.125, 31.25) == stat
+
+
+@pytest.fixture(scope="module")
+def chain_sizes_500():
+    """G from 10^4 status-chain runs at n = 500, as in the CLI example."""
+    sizes, _, _ = simulate_status_chain_many(500, 10_000, RandomSource(42))
+    return sizes
+
+
+def test_ks_gaussian_accepts_the_chain(chain_sizes_500):
+    n = 500
+    _, p = ks_gaussian(chain_sizes_500, n / 2 + 1 / 8, n / 16)
+    assert p > 1e-2
+
+
+@pytest.mark.parametrize(
+    "alternative", ["shift", "binomial", "wide", "point_mass", "truncated"]
+)
+def test_ks_gaussian_rejects_wrong_laws(chain_sizes_500, alternative):
+    # the lattice test keeps its power: a shift by one vertex, the
+    # Binomial(n, 1/2) of independent coin flips, a variance 1.2 times too
+    # large, a point mass well above the mean, and the chain's sample cut
+    # off below the mean are each rejected at the clt band p > 0.01, with
+    # room; the last two have no mass in the lower tail at all
+    n, replicates = 500, 10_000
+    mean, variance = n / 2 + 1 / 8, n / 16
+    gen = RandomSource(7).generator
+    samples = {
+        "shift": lambda: chain_sizes_500 + 1,
+        "binomial": lambda: gen.binomial(n, 0.5, replicates),
+        "wide": lambda: np.rint(
+            gen.normal(mean, math.sqrt(1.2 * variance), replicates)
+        ).astype(np.int64),
+        "point_mass": lambda: np.full(replicates, 270),
+        "truncated": lambda: chain_sizes_500[chain_sizes_500 > mean],
+    }[alternative]()
+    _, p = ks_gaussian(samples, mean, variance)
+    assert p < 1e-4
 
 
 def test_empirical_distribution():
@@ -184,8 +243,8 @@ def test_clt_experiment_observed_values_pinned():
     assert reports["size_variance"] == 0.06228855267526764
     assert reports["steps_variance"] == 0.05636679249924963
     assert reports["root_last_fraction"] == 0.2452
-    # the p-value also passes through scipy's KS distribution
-    assert math.isclose(reports["size_ks_pvalue"], 9.1703676153373e-20, rel_tol=1e-6)
+    # the lattice KS p-value also passes through scipy's KS distribution
+    assert math.isclose(reports["size_ks_pvalue"], 0.8301079653582825, rel_tol=1e-6)
 
 
 def test_symmetry_experiment_mc_small_law():
