@@ -63,6 +63,9 @@ def cmd_peel(args) -> int:
     rng = trees.RandomSource(args.seed)
     if args.fixed_tree:
         tree = _load_single_tree(args.fixed_tree)
+        if args.n is not None and args.n != tree.n:
+            raise ValueError(f"--n {args.n} does not match the "
+                             f"{tree.n}-vertex tree in {args.fixed_tree}")
         if args.alg == "greedy":
             steps, outcome = greedy.greedy_exploration_steps(tree)
             print(f"size={outcome.size} steps={outcome.steps} "

@@ -9,6 +9,7 @@ is of independent interest and both are exercised by the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from fractions import Fraction
@@ -28,6 +29,143 @@ def _cap(default: int) -> int:
     return int(value) if value else default
 
 
+# Philox key derivation, word for word as numpy's SeedSequence does it
+# (hash and mix constants from numpy.random.bit_generator):
+#   1. hash the seed's first four 32-bit words, zero-padded, into a pool;
+#   2. cross-mix the pool;
+#   3. absorb the seed's further words, then each path entry's words, low
+#      word first, each word mixed into all four pool words;
+#   4. hash the pool into the two 64-bit key words.
+# Step 3 is sequential, so a child's pool is its parent's pool plus the
+# child index's words.  The hash constant advances by one multiplication per
+# hashed word and never depends on the data.
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_KEY_B1 = _INIT_B * _MULT_B & _MASK32
+_KEY_B2 = _KEY_B1 * _MULT_B & _MASK32
+_KEY_B3 = _KEY_B2 * _MULT_B & _MASK32
+_KEY_B4 = _KEY_B3 * _MULT_B & _MASK32
+
+#: the four pool words, then the next hash constant
+_Pool = tuple[int, int, int, int, int]
+
+
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    """(hashed word, next hash constant)."""
+    value ^= hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _seed_pool(seed: int) -> _Pool:
+    """Pool after steps 1-3 for an empty path."""
+    pool = []
+    hash_const = _INIT_A
+    for i in range(4):
+        word, hash_const = _hashmix((seed >> 32 * i) & _MASK32, hash_const)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], word)
+    state = (*pool, hash_const)
+    return _absorb(state, seed >> 128) if seed >> 128 else state
+
+
+def _absorb(state: _Pool, value: int) -> _Pool:
+    """Mix the 32-bit words of a non-negative int into the pool, low word first.
+
+    Zero counts as one word.  This is every child stream's hot path, so the
+    four pool updates of ``_mix(p, _hashmix(word, c))`` are written out.
+    """
+    p0, p1, p2, p3, c = state
+    while True:
+        w = value & _MASK32
+        v = w ^ c
+        c = c * _MULT_A & _MASK32
+        v = v * c & _MASK32
+        p0 = (_MIX_MULT_L * p0 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+        p0 ^= p0 >> 16
+        v = w ^ c
+        c = c * _MULT_A & _MASK32
+        v = v * c & _MASK32
+        p1 = (_MIX_MULT_L * p1 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+        p1 ^= p1 >> 16
+        v = w ^ c
+        c = c * _MULT_A & _MASK32
+        v = v * c & _MASK32
+        p2 = (_MIX_MULT_L * p2 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+        p2 ^= p2 >> 16
+        v = w ^ c
+        c = c * _MULT_A & _MASK32
+        v = v * c & _MASK32
+        p3 = (_MIX_MULT_L * p3 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+        p3 ^= p3 >> 16
+        value >>= 32
+        if not value:
+            return p0, p1, p2, p3, c
+
+
+def _philox_key(state: _Pool) -> tuple[int, int]:
+    """Step 4: ``SeedSequence.generate_state(2, np.uint64)`` of the pool."""
+    p0, p1, p2, p3, _ = state
+    s0 = (p0 ^ _INIT_B) * _KEY_B1 & _MASK32
+    s1 = (p1 ^ _KEY_B1) * _KEY_B2 & _MASK32
+    s2 = (p2 ^ _KEY_B2) * _KEY_B3 & _MASK32
+    s3 = (p3 ^ _KEY_B3) * _KEY_B4 & _MASK32
+    return (s0 ^ s0 >> 16 | (s1 ^ s1 >> 16) << 32,
+            s2 ^ s2 >> 16 | (s3 ^ s3 >> 16) << 32)
+
+
+@functools.cache
+def _key_sequence_type() -> type:
+    """The ``ISeedSequence`` that hands ``np.random.Philox`` a derived key.
+
+    Made on the first draw: subclassing it loads numpy.random, about 16 ms
+    and a few MB that a run which never draws, such as an exact law, does
+    not pay.
+    """
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        # Philox asks its seed sequence for exactly generate_state(2, uint64);
+        # any other request means numpy changed how it seeds Philox, and is
+        # refused rather than answered with a different stream
+        __slots__ = ("key",)
+
+        def __init__(self, key: tuple[int, int]):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"a Philox key serves only generate_state(2, uint64), "
+                    f"got generate_state({n_words}, {np.dtype(dtype)})"
+                )
+            return np.array(self.key, dtype=np.uint64)
+
+        def __reduce__(self):
+            return _key_sequence, (self.key,)
+
+    return PhiloxKey
+
+
+def _key_sequence(key: tuple[int, int]):
+    """A seed sequence whose only state is the Philox key ``key``."""
+    return _key_sequence_type()(key)
+
+
 class RandomSource:
     """Seeded, splittable randomness based on the counter-based Philox generator.
 
@@ -36,36 +174,71 @@ class RandomSource:
     replicate ``i`` of a sweep sees identical randomness no matter how the
     replicates are spread over workers.
 
-    A source stores only ``(seed, path)``; its numpy generator is built on
-    the first draw.  Building one costs about 20-25 us (``SeedSequence``
-    plus ``Philox``), more than a short exploration's steps, so a source
-    that only spawns children, and is never drawn from, costs nothing.
-    Negative seeds and path entries are rejected here, not at first draw.
+    The stream of ``(seed, path)`` is Philox keyed with
+    ``SeedSequence(entropy=seed, spawn_key=path).generate_state(2, uint64)``,
+    but the key is derived here: each source caches its seed-sequence pool,
+    and a child's pool is its parent's plus one absorbed index, so a child
+    pays for its own index only.  The numpy generator is built on the first
+    draw, for about 10 us in all, and a source that only spawns children,
+    and is never drawn from, costs nothing.  ``child`` keeps a reference to
+    its parent.  Negative seeds and path entries are rejected here, not at
+    first draw.
     """
 
-    __slots__ = ("seed", "path", "_generator")
+    __slots__ = ("seed", "_parent", "_tail", "_pool", "_generator")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
-        self.path = tuple(int(p) for p in path)
-        if self.seed < 0 or any(p < 0 for p in self.path):
+        self._parent = None
+        self._tail = tuple(int(p) for p in path)
+        if self.seed < 0 or any(p < 0 for p in self._tail):
             raise ValueError(
                 f"seed and child indices must be non-negative, "
-                f"got seed={self.seed} path={self.path}"
+                f"got seed={self.seed} path={self._tail}"
             )
+        self._pool = None
         self._generator = None
+
+    @property
+    def path(self) -> tuple[int, ...]:
+        """Child indices from the root source to this one."""
+        head = self._parent.path if self._parent is not None else ()
+        return head + self._tail
+
+    def _pool_state(self) -> _Pool:
+        """Pool after the seed and path; cached here and in every ancestor."""
+        state = self._pool
+        if state is None:
+            parent = self._parent
+            state = _seed_pool(self.seed) if parent is None else parent._pool_state()
+            for index in self._tail:
+                state = _absorb(state, index)
+            self._pool = state
+        return state
 
     @property
     def generator(self) -> np.random.Generator:
         """The stream's numpy generator, built on first use."""
         if self._generator is None:
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-            self._generator = np.random.Generator(np.random.Philox(ss))
+            key = _key_sequence(_philox_key(self._pool_state()))
+            self._generator = np.random.Generator(np.random.Philox(key))
         return self._generator
 
     def child(self, index: int) -> "RandomSource":
         """Deterministic sub-stream; independent of draws made from self."""
-        return RandomSource(self.seed, self.path + (index,))
+        index = int(index)
+        if index < 0:
+            raise ValueError(
+                f"seed and child indices must be non-negative, "
+                f"got seed={self.seed} path={self.path + (index,)}"
+            )
+        child = object.__new__(RandomSource)
+        child.seed = self.seed
+        child._parent = self
+        child._tail = (index,)
+        child._pool = None
+        child._generator = None
+        return child
 
     # scalar draws are the explorations' hot path: they read the slot, and
     # go through the property only to build the generator

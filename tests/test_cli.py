@@ -316,9 +316,13 @@ def test_flags_that_do_nothing_are_rejected(argv, capsys):
 def _bad_input_cases(tmp_path):
     two = tmp_path / "two.txt"
     two.write_text("3;3,1\n3;3,2\n")
+    one = tmp_path / "one.txt"
+    one.write_text("3;3,1\n")
     return {
         "missing tree file": ["peel", "--fixed-tree", str(tmp_path / "missing.txt")],
         "two trees": ["peel", "--fixed-tree", str(two), "--alg", "ab"],
+        "fixed tree of another size": ["peel", "--fixed-tree", str(one), "--alg", "ab",
+                                       "--n", "4"],
         "peel without n": ["peel", "--alg", "ab"],
         "unwritable out": ["exact-law", "--n", "3",
                            "--out", str(tmp_path / "no-such-dir" / "law.json")],
@@ -326,6 +330,7 @@ def _bad_input_cases(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing tree file", "two trees",
+                                  "fixed tree of another size",
                                   "peel without n", "unwritable out"])
 def test_bad_input_exits_two_with_one_line(case, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
@@ -351,14 +356,16 @@ def test_bad_input_prints_no_traceback(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # chi_square_uniform and ks_gaussian import scipy when called, not at start-up
+    # chi_square_uniform and ks_gaussian import scipy when called, not at
+    # start-up; numpy.random loads on a stream's first draw
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cayley_greedy.cli; print('scipy' in sys.modules)"],
+         "import sys, cayley_greedy.cli; "
+         "print([m for m in ('scipy', 'numpy.random') if m in sys.modules])"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cayley_greedy import greedy
 from cayley_greedy import (
     EmpiricalDistribution,
     ExperimentReport,
@@ -245,6 +246,29 @@ def test_clt_experiment_observed_values_pinned():
     assert reports["root_last_fraction"] == 0.2452
     # the lattice KS p-value also passes through scipy's KS distribution
     assert math.isclose(reports["size_ks_pvalue"], 0.8301079653582825, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_clt_experiment_small_run_passes_a_correct_chain(seed):
+    # bands fixed at the 10^4-replicate scale failed five of these ten seeds
+    assert all(r.passed for r in clt_experiment(500, 1000, seed=seed))
+
+
+@pytest.mark.parametrize("statistic, wrong, distort", [
+    # every size deviation doubled: variance 4 * 1/16
+    ("size_variance", 0.25, lambda g, t, e: (250 + 2 * (g - 250), t, e)),
+    # a third of the runs root-last; 0.30 still lies in [0.187, 0.313]
+    ("root_last_fraction", 0.33, lambda g, t, e: (g, t, np.arange(e.size) < 330)),
+])
+def test_clt_experiment_widened_bands_reject_a_wrong_chain(
+    monkeypatch, statistic, wrong, distort
+):
+    chain = greedy.simulate_status_chain_many
+    monkeypatch.setattr(greedy, "simulate_status_chain_many",
+                        lambda n, r, rng: distort(*chain(n, r, rng)))
+    report = {r.statistic: r for r in clt_experiment(500, 1000, seed=1)}[statistic]
+    assert abs(report.observed - wrong) < 0.02
+    assert not report.passed
 
 
 def test_symmetry_experiment_mc_small_law():

@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import pickle
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from cayley_greedy import (
 )
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
 from cayley_greedy.trees import (
+    _key_sequence,
     prufer_from_string,
     prufer_to_string,
     read_trees,
@@ -215,6 +218,70 @@ def test_random_source_draws_golden_digest():
         h.update(r.generator.permutation(10).tobytes())
     assert h.hexdigest() == (
         "062de466251616d7272cc87393752bf86b3864579e44396e68426fb7ca33001f")
+
+
+def _stream_key(source):
+    return source.generator.bit_generator.state["state"]["key"].tolist()
+
+
+def _seed_sequence_key(seed, path):
+    return np.random.SeedSequence(entropy=seed, spawn_key=path).generate_state(
+        2, np.uint64).tolist()
+
+
+def _seeds_and_paths(count):
+    """Random (seed, path) pairs, with the word-boundary cases first."""
+    cases = [(0, ()), (0, (0,)), (2**32 - 1, (2**32 - 1,)), (2**32, (2**32,)),
+             (2**128, ()), (2**128 - 1, (1,)), (3 * 2**160 + 7, (0, 2**64 + 5)),
+             (5, (2**32, 0, 2**96))]
+    rnd = random.Random(20211)
+    while len(cases) < count:
+        seed = rnd.getrandbits(rnd.choice([1, 8, 31, 32, 33, 64, 127, 128, 129, 200]))
+        path = tuple(rnd.getrandbits(rnd.choice([1, 4, 16, 32, 33, 70]))
+                     for _ in range(rnd.randrange(5)))
+        cases.append((seed, path))
+    return cases
+
+
+def test_philox_key_matches_seed_sequence():
+    # SeedSequence is the oracle: seeds of 1-7 words (below and above the
+    # four-word pool), path entries of 1-3 words, and empty paths
+    for seed, path in _seeds_and_paths(2000):
+        assert _stream_key(RandomSource(seed, path)) == _seed_sequence_key(seed, path), (
+            seed, path)
+
+
+def test_child_chain_equals_direct_construction():
+    for seed, path in _seeds_and_paths(200):
+        chained = RandomSource(seed)
+        for index in path:
+            chained = chained.child(index)
+        direct = RandomSource(seed, path)
+        assert chained.path == direct.path == path
+        assert _stream_key(chained) == _stream_key(direct)
+        # a directly built source with a path also caches its pool for children
+        assert (_stream_key(RandomSource(seed, path).child(9))
+                == _seed_sequence_key(seed, path + (9,)))
+    a, b = RandomSource(77).child(4).child(0), RandomSource(77, (4, 0))
+    assert [a.uniform() for _ in range(5)] == [b.uniform() for _ in range(5)]
+
+
+@pytest.mark.parametrize("n_words, dtype", [(2, np.uint32), (4, np.uint32),
+                                             (1, np.uint64), (4, np.uint64)])
+def test_philox_key_refuses_other_state_requests(n_words, dtype):
+    key = _key_sequence((1, 2**64 - 1))
+    assert key.generate_state(2, np.uint64).tolist() == [1, 2**64 - 1]
+    with pytest.raises(ValueError, match="generate_state"):
+        key.generate_state(n_words, dtype)
+
+
+def test_drawn_source_survives_pickle():
+    source = RandomSource(2024).child(3)
+    source.uniform()
+    clone = pickle.loads(pickle.dumps(source))
+    assert clone.path == (3,)
+    assert [clone.uniform() for _ in range(4)] == [source.uniform() for _ in range(4)]
+    assert clone.child(1).integer(0, 10**9) == source.child(1).integer(0, 10**9)
 
 
 @pytest.mark.parametrize("build", [
