@@ -60,7 +60,10 @@ def _load_single_tree(path: str) -> trees.CayleyTree:
 
 
 def cmd_peel(args) -> int:
-    rng = trees.RandomSource(args.seed)
+    if args.fixed_tree and args.alg != "unif" and args.seed is not None:
+        raise ValueError(f"--seed does nothing with --fixed-tree and --alg {args.alg}: "
+                         "the exploration draws no random numbers")
+    rng = trees.RandomSource(DEFAULT_SEED if args.seed is None else args.seed)
     if args.fixed_tree:
         tree = _load_single_tree(args.fixed_tree)
         if args.n is not None and args.n != tree.n:
@@ -187,7 +190,7 @@ def cmd_clt(args) -> int:
 
 def cmd_fluid(args) -> int:
     m = fluid.covariance_matrix()
-    var_size, var_first, cov_pair = fluid.clt_constants(m)
+    var_size, var_first, cov_pair = fluid.clt_constants()
     payload = {
         "t_star": _sig15(fluid.t_star()),
         "M": [[_sig15(x) for x in row] for row in m.tolist()],
@@ -257,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peel", help="peeling exploration step trace")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=seed_int, default=DEFAULT_SEED)
+    # None tells an explicit seed apart, which a fixed-tree ab/greedy run refuses
+    p.add_argument("--seed", type=seed_int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--alg", choices=["unif", "ab", "greedy"], default="unif")
     p.add_argument("--fixed-tree", default=None, metavar="FILE",

@@ -12,13 +12,15 @@ undetermined fraction hits zero at t* = ln 2, where a(t*) = 1/2.
 Fluctuations around the trajectory are Gaussian with covariance obtained by
 propagating the local jump covariance through the linearized flow.  The
 drift Jacobian J satisfies J @ J = -J, so its exponential has the closed
-form exp(sJ) = I + (1 - exp(-s)) J.
+form exp(sJ) = I + (1 - exp(-s)) J, and both absorption covariances are
+exact closed forms (see :func:`covariance_matrix` and
+:func:`discrete_step_covariance`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,17 +66,6 @@ def flow_matrix(s: float) -> np.ndarray:
     return np.eye(3) + (1.0 - math.exp(-s)) * jacobian()
 
 
-def flow_matrix_series(s: float, terms: int = 50) -> np.ndarray:
-    """Taylor-series evaluation of exp(s J); oracle for :func:`flow_matrix`."""
-    j = jacobian()
-    acc = np.eye(3)
-    term = np.eye(3)
-    for k in range(1, terms):
-        term = term @ j * (s / k)
-        acc = acc + term
-    return acc
-
-
 def local_covariance(s: float) -> np.ndarray:
     """Per-step covariance source along the trajectory (sum of jump outer
     products weighted by their limiting rates); symmetric for all s."""
@@ -86,64 +77,47 @@ def local_covariance(s: float) -> np.ndarray:
     ])
 
 
-def _propagated(s: float, source: Callable[[float], np.ndarray]) -> np.ndarray:
-    p = flow_matrix(TIME_TO_ABSORPTION - s)
-    return p @ source(s) @ p.T
-
-
-def _gauss_legendre_integral(
-    integrand: Callable[[float], np.ndarray],
-    lo: float,
-    hi: float,
-    pieces: int,
-    nodes: int = 20,
-) -> np.ndarray:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    total = np.zeros((3, 3))
-    edges = np.linspace(lo, hi, pieces + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2, (b - a) / 2
-        for xi, wi in zip(x, w):
-            total += wi * half * integrand(mid + half * xi)
-    return total
-
-
-def _integrate_to_absorption(
-    integrand: Callable[[float], np.ndarray], rtol: float = 1e-10
-) -> np.ndarray:
-    """Composite Gauss-Legendre over [0, t*], halving intervals until stable."""
-    prev = _gauss_legendre_integral(integrand, 0.0, TIME_TO_ABSORPTION, pieces=1)
-    for pieces in (2, 4, 8, 16):
-        cur = _gauss_legendre_integral(integrand, 0.0, TIME_TO_ABSORPTION, pieces=pieces)
-        if np.abs(cur - prev).max() < rtol:
-            return cur
-        prev = cur
-    raise RuntimeError("quadrature failed to stabilize")
-
-
 def covariance_matrix() -> np.ndarray:
-    """Covariance of the limiting Gaussian vector at absorption time.
+    """Covariance M of the limiting Gaussian vector at absorption time:
 
-    Integrates the flow-propagated local covariance over [0, t*]; the result
-    is symmetric, positive semidefinite and singular (the three rescaled
-    counts sum to one, so fluctuations live in a plane).
+        M = int_0^t* P(s) G(s) P(s)^T ds = [[ 3/4, -3/8, -3/8],
+                                            [-3/8,  1/4,  1/8],
+                                            [-3/8,  1/8,  1/4]],
+
+    with G = :func:`local_covariance` and P(s) = flow_matrix(t* - s).
+
+    Since exp(-(t* - s)) = e^s / 2, P(s) = I + (1 - e^s/2) J, while G(s) is
+    affine in e^-s.  The integrand is therefore an exponential polynomial
+    in e^s with exponents -1..2; its e^-s and constant terms cancel,
+    leaving e^s A + e^2s B with
+
+        A = [[ 3/2, -3/4, -3/4],     B = [[-1/2,  1/4,  1/4],
+             [-3/4,  1/4,  1/2],          [ 1/4,    0, -1/4],
+             [-3/4,  1/2,  1/4]],         [ 1/4, -1/4,    0]].
+
+    As int_0^ln2 e^(ks) ds = (2^k - 1)/k, M = A + (3/2) B, which is
+    rational; every entry is a dyadic fraction, so the float values are
+    exact.  M is symmetric, positive semidefinite and singular: the three
+    rescaled counts sum to one, so (1, 1, 1) spans its kernel.
     """
-    return _integrate_to_absorption(lambda s: _propagated(s, local_covariance))
+    return np.array([
+        [3 / 4, -3 / 8, -3 / 8],
+        [-3 / 8, 1 / 4, 1 / 8],
+        [-3 / 8, 1 / 8, 1 / 4],
+    ])
 
 
-def clt_constants(m: np.ndarray | None = None) -> tuple[float, float, float]:
+def clt_constants() -> tuple[float, float, float]:
     """(variance of the set-size statistic, variance of the first component,
     covariance of the two complementary set statistics), derived from the
-    absorption covariance matrix.
+    absorption covariance matrix M: (1/16, 3/4, -1/16).
 
     With Y the limit vector, the set-size fluctuation is Y2 + Y1/2 and its
     complement is Y3 + Y1/2.  The first component's variance is the
-    continuous-time value m[0, 0] (3/4 for the default matrix), not the
-    stopping-step variance of the chain, which is 3/4 - ln 2; see
-    :func:`stopping_step_variance`.
+    continuous-time value M[0, 0] = 3/4, not the stopping-step variance of
+    the chain, which is 3/4 - ln 2; see :func:`stopping_step_variance`.
     """
-    if m is None:
-        m = covariance_matrix()
+    m = covariance_matrix()
     var_size = m[1, 1] + m[0, 1] + m[0, 0] / 4
     var_first = m[0, 0]
     cov_pair = m[1, 2] + m[0, 1] / 2 + m[0, 2] / 2 + m[0, 0] / 4
@@ -151,23 +125,21 @@ def clt_constants(m: np.ndarray | None = None) -> tuple[float, float, float]:
 
 
 def discrete_step_covariance() -> np.ndarray:
-    """Absorption covariance with the one-jump-per-step drift correction.
+    """Absorption covariance with the one-jump-per-step drift correction:
+    M - (t*/4) f f^T with f = (-2, 1, 1) and M = :func:`covariance_matrix`.
 
     The chain takes exactly one transition per time increment 1/n, so the
     conditional covariance of an increment is the jump outer-product sum
     minus drift (x) drift; in continuous time that squared-drift term is
-    O(dt) and drops out, here it survives.  The drift happens to be an
-    eigenvector of the Jacobian, so the correction collapses to
-    (t*/4) f f^T with f = (-2, 1, 1): it shifts the first component's
-    variance from 3/4 down to 3/4 - ln 2 while leaving the set-size
-    statistics (orthogonal to f) untouched.
+    O(dt) and drops out, here it survives.  Along the trajectory the drift
+    is e^-s f, and J f = -f, so P(s) f = f - (1 - e^s/2) f = (e^s/2) f.
+    The propagated correction is thus the constant f f^T / 4, and its
+    integral over [0, t*] is (t*/4) f f^T.  It shifts the first
+    component's variance from 3/4 down to 3/4 - ln 2 while leaving the
+    set-size statistics (orthogonal to f) untouched.
     """
-
-    def corrected(s: float) -> np.ndarray:
-        f = np.array(drift(*ode_solution(s)[1:]))
-        return local_covariance(s) - np.outer(f, f)
-
-    return _integrate_to_absorption(lambda s: _propagated(s, corrected))
+    f = np.array([-2.0, 1.0, 1.0])
+    return covariance_matrix() - (TIME_TO_ABSORPTION / 4) * np.outer(f, f)
 
 
 def stopping_step_variance() -> float:
@@ -175,6 +147,7 @@ def stopping_step_variance() -> float:
 
     The stopping step is the absorption time of the undetermined count,
     whose fluctuation equals the first limit component divided by the
-    drift slope (which is -1 at t*).
+    drift slope (which is -1 at t*); it is the [0, 0] entry of
+    :func:`discrete_step_covariance`.
     """
     return float(discrete_step_covariance()[0, 0])

@@ -19,14 +19,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import greedy
+from . import fluid, greedy
 from .trees import RandomSource, sample_uniform
 
 DEFAULT_SEED = 0x5EED
-
-#: Limit of Var(sqrt(n) (theta/n - ln 2)) for the status chain; equals
-#: ``fluid.stopping_step_variance()``, kept in closed form to skip the quadrature.
-STEPS_VARIANCE_LIMIT = 0.75 - math.log(2.0)
 
 #: replicate count at which :func:`clt_experiment`'s bands have their base
 #: half-widths; fewer replicates widen them by sqrt(CLT_BAND_REPLICATES / r)
@@ -251,7 +247,8 @@ def clt_experiment(
     The stopping-step target is not the continuous-time value 3/4
     (``fluid.covariance_matrix()[0, 0]``): the chain takes one transition
     per step, and the squared drift that this keeps in the step covariance
-    lowers the limit to 3/4 - ln 2 (see ``fluid.stopping_step_variance``).
+    lowers the limit to 3/4 - ln 2, the target read from
+    ``fluid.stopping_step_variance``.
     """
     if n < 100 or replicates < 100:
         raise ValueError("need n >= 100 and replicates >= 100")
@@ -264,6 +261,7 @@ def clt_experiment(
     _, ks_p = ks_gaussian(sizes, n / 2 + 1 / 8, n / 16)
     # exactly 1.0 from CLT_BAND_REPLICATES up, which leaves those bands unchanged
     widen = math.sqrt(max(1.0, CLT_BAND_REPLICATES / replicates))
+    steps_limit = fluid.stopping_step_variance()
     return [
         ExperimentReport(
             n=n, replicates=replicates, seed=seed, statistic="size_variance",
@@ -276,8 +274,8 @@ def clt_experiment(
         ),
         ExperimentReport(
             n=n, replicates=replicates, seed=seed, statistic="steps_variance",
-            observed=float(z_steps.var(ddof=1)), target=STEPS_VARIANCE_LIMIT,
-            tolerance=0.1 * STEPS_VARIANCE_LIMIT * widen,
+            observed=float(z_steps.var(ddof=1)), target=steps_limit,
+            tolerance=0.1 * steps_limit * widen,
         ),
         ExperimentReport(
             n=n, replicates=replicates, seed=seed, statistic="root_last_fraction",

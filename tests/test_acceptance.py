@@ -5,6 +5,8 @@ print.  Criterion 4 checks the stopping-step fluctuation variance against
 3/4 - ln 2 (about 0.0569), the limit for the one-transition-per-step chain,
 not the continuous-time value 3/4; see the companion test at the bottom and
 ``cayley_greedy.fluid.discrete_step_covariance`` for the analysis.
+Criterion 5 checks the library's closed-form covariance against the
+quadrature oracle of ``test_fluid``, since the library runs no quadrature.
 """
 
 import math
@@ -42,6 +44,7 @@ from cayley_greedy.stats import (
     greedy_ratio_experiment,
     tree_sweep_experiment,
 )
+from test_fluid import quadrature_covariance
 
 SEED = 0x5EED
 LAW_RANGE = range(2, 61)
@@ -145,9 +148,10 @@ def test_criterion_4_steps_variance(clt_reports):
     (Richardson extrapolation from n = 40 and 60: 0.05687); greedy peeling of uniform trees (one child
     stream of seed 0x5EED per tree) gives 0.0536 +/- 0.0012 at n = 500
     (4000 trees) and 0.0595 +/- 0.0019 at n = 2000 (2000 trees); the chain
-    gives 0.0562 here; and the corrected quadrature matches the closed
-    form to 1e-10.  The band has the 10% relative width the criterion had
-    around 3/4, so it excludes 3/4 and any limit off by more than 10%.
+    gives 0.0562 here; and the tests' quadrature of the corrected
+    integrand matches the library's closed form to 1e-10 (test_fluid).
+    The band has the 10% relative width the criterion had around 3/4, so
+    it excludes 3/4 and any limit off by more than 10%.
     """
     var = clt_reports["steps_variance"]
     report(4, var.passed,
@@ -157,16 +161,11 @@ def test_criterion_4_steps_variance(clt_reports):
 
 
 def test_criterion_5_covariance_matrix():
-    """Quadrature covariance matches the closed form entrywise to 1e-8,
-    and the derived constants match 1/16 and -1/16 to 1e-8."""
-    m = covariance_matrix()
-    expected = np.array([
-        [3 / 4, -3 / 8, -3 / 8],
-        [-3 / 8, 1 / 4, 1 / 8],
-        [-3 / 8, 1 / 8, 1 / 4],
-    ])
-    err = float(np.abs(m - expected).max())
-    var_size, _, cov_pair = clt_constants(m)
+    """The quadrature oracle of the propagated jump covariance matches the
+    library's closed-form covariance entrywise to 1e-8, and the derived
+    constants match 1/16 and -1/16 to 1e-8."""
+    err = float(np.abs(quadrature_covariance() - covariance_matrix()).max())
+    var_size, _, cov_pair = clt_constants()
     derived_ok = abs(var_size - 1 / 16) < 1e-8 and abs(cov_pair + 1 / 16) < 1e-8
     passed = err < 1e-8 and derived_ok
     report(5, passed, f"max entry error {err:.2e}; varG/covAB to 1e-8: {derived_ok}")

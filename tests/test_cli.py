@@ -182,10 +182,11 @@ def test_fluid_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["t_star"] - 0.693147180559945) < 1e-12
-    assert abs(payload["M"][0][0] - 0.75) < 1e-8
-    assert abs(payload["varG"] - 0.0625) < 1e-8
-    assert abs(payload["varTheta"] - 0.75) < 1e-8
-    assert abs(payload["covAB"] + 0.0625) < 1e-8
+    # the constants are exact closed forms, so they print exactly
+    assert payload["M"][0] == [0.75, -0.375, -0.375]
+    assert payload["varG"] == 0.0625
+    assert payload["varTheta"] == 0.75
+    assert payload["covAB"] == -0.0625
 
 
 def test_matching_report(capsys):
@@ -324,6 +325,8 @@ def _bad_input_cases(tmp_path):
         "fixed tree of another size": ["peel", "--fixed-tree", str(one), "--alg", "ab",
                                        "--n", "4"],
         "peel without n": ["peel", "--alg", "ab"],
+        "seed with a fixed tree": ["peel", "--fixed-tree", str(one), "--alg", "ab",
+                                   "--seed", "5"],
         "unwritable out": ["exact-law", "--n", "3",
                            "--out", str(tmp_path / "no-such-dir" / "law.json")],
     }
@@ -331,7 +334,8 @@ def _bad_input_cases(tmp_path):
 
 @pytest.mark.parametrize("case", ["missing tree file", "two trees",
                                   "fixed tree of another size",
-                                  "peel without n", "unwritable out"])
+                                  "peel without n", "seed with a fixed tree",
+                                  "unwritable out"])
 def test_bad_input_exits_two_with_one_line(case, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(_bad_input_cases(tmp_path)[case])

@@ -1,6 +1,8 @@
-"""Fluid limit: ODE solution, linearized flow, covariance quadrature."""
+"""Fluid limit: ODE solution, linearized flow, closed-form covariances
+checked against a quadrature oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,13 +18,36 @@ from cayley_greedy import (
     ode_solution,
     t_star,
 )
-from cayley_greedy.fluid import flow_matrix_series, jacobian, stopping_step_variance
+from cayley_greedy.fluid import jacobian, stopping_step_variance
 
-EXPECTED_M = np.array([
-    [3 / 4, -3 / 8, -3 / 8],
-    [-3 / 8, 1 / 4, 1 / 8],
-    [-3 / 8, 1 / 8, 1 / 4],
-])
+EXACT_M = [
+    [Fraction(3, 4), Fraction(-3, 8), Fraction(-3, 8)],
+    [Fraction(-3, 8), Fraction(1, 4), Fraction(1, 8)],
+    [Fraction(-3, 8), Fraction(1, 8), Fraction(1, 4)],
+]
+EXPECTED_M = np.array(EXACT_M, dtype=float)
+
+
+def quadrature_covariance(discrete: bool = False) -> np.ndarray:
+    """Oracle for the closed forms: int_0^t* P(s) S(s) P(s)^T ds by a fixed
+    composite Gauss-Legendre rule (4 pieces of 20 nodes), with
+    P(s) = flow_matrix(t* - s) and S the local covariance, less the squared
+    drift when ``discrete``.  The integrand is smooth, so the rule is exact
+    to rounding."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    total = np.zeros((3, 3))
+    edges = np.linspace(0.0, t_star(), 5)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        for xi, wi in zip(x, w):
+            s = mid + half * xi
+            source = local_covariance(s)
+            if discrete:
+                f = np.array(drift(*ode_solution(s)[1:]))
+                source = source - np.outer(f, f)
+            p = flow_matrix(t_star() - s)
+            total += wi * half * (p @ source @ p.T)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +148,17 @@ def test_jacobian_squares_to_its_negative():
     assert np.array_equal(j @ j, -j)
 
 
+def flow_matrix_series(s: float, terms: int = 50) -> np.ndarray:
+    """Taylor-series evaluation of exp(s J); oracle for :func:`flow_matrix`."""
+    j = jacobian()
+    acc = np.eye(3)
+    term = np.eye(3)
+    for k in range(1, terms):
+        term = term @ j * (s / k)
+        acc = acc + term
+    return acc
+
+
 @pytest.mark.parametrize("s", [-1.5, -0.3, 0.0, 0.2, 0.7, 2.0])
 def test_flow_matches_series_oracle(s):
     assert np.abs(flow_matrix(s) - flow_matrix_series(s)).max() < 1e-12
@@ -151,7 +187,8 @@ def test_local_covariance_symmetric():
 
 def test_covariance_matrix_matches_closed_form():
     m = covariance_matrix()
-    assert np.abs(m - EXPECTED_M).max() < 1e-8
+    assert [[Fraction(x) for x in row] for row in m.tolist()] == EXACT_M
+    assert np.abs(quadrature_covariance() - m).max() < 1e-10
 
 
 def test_covariance_matrix_psd_and_singular():
@@ -166,12 +203,10 @@ def test_covariance_matrix_psd_and_singular():
 
 def test_clt_constants():
     var_size, var_first, cov_pair = clt_constants()
-    assert abs(var_size - 1 / 16) < 1e-8
-    assert abs(var_first - 3 / 4) < 1e-8
-    assert abs(cov_pair + 1 / 16) < 1e-8
+    assert (var_size, var_first, cov_pair) == (1 / 16, 3 / 4, -1 / 16)
     # the two complementary statistics are almost surely opposite:
     # the variance of their sum vanishes
-    assert abs(2 * var_size + 2 * cov_pair) < 1e-8
+    assert 2 * var_size + 2 * cov_pair == 0
 
 
 def test_discrete_step_covariance_closed_form():
@@ -180,7 +215,18 @@ def test_discrete_step_covariance_closed_form():
     # exactly (t*/4) f f^T with f = (-2, 1, 1)
     f = np.array([-2.0, 1.0, 1.0])
     expected = EXPECTED_M - (t_star() / 4) * np.outer(f, f)
-    assert np.abs(discrete_step_covariance() - expected).max() < 1e-10
+    mc = discrete_step_covariance()
+    assert np.array_equal(mc, expected)
+    assert np.abs(quadrature_covariance(discrete=True) - mc).max() < 1e-10
+
+
+def test_drift_is_a_decaying_eigenvector():
+    # drift(s) = exp(-s) f and J f = -f: the derivation of the correction
+    f = np.array([-2.0, 1.0, 1.0])
+    assert np.array_equal(jacobian() @ f, -f)
+    for s in np.linspace(0, t_star(), 20):
+        d = np.array(drift(*ode_solution(s)[1:]))
+        assert np.abs(d - math.exp(-s) * f).max() < 1e-15
 
 
 def test_discrete_correction_leaves_size_statistics_alone():
@@ -192,4 +238,4 @@ def test_discrete_correction_leaves_size_statistics_alone():
 
 
 def test_stopping_step_variance_value():
-    assert abs(stopping_step_variance() - (3 / 4 - math.log(2))) < 1e-10
+    assert stopping_step_variance() == 0.75 - math.log(2)
