@@ -36,16 +36,19 @@ class PeelStep(NamedTuple):
 
 
 class ForestState:
-    """Colored rooted forest over {1..n}, with union-find component tracking.
+    """Colored rooted forest over {1..n}, with quick-find component tracking.
 
-    Each component knows its size, its root vertex, and its color; vertex n
-    always sits in the unique blue component.  Member lists are merged
-    small-into-large so uniform sampling inside a component is O(1), and the
-    live white roots sit in a swap-remove registry for O(1) uniform choice.
+    ``_rep[v]`` is the representative of v's component, and each
+    representative knows its component's size, root vertex and members.
+    Vertex n always sits in the unique blue component, so a vertex is blue
+    exactly when it shares n's representative.  Merges relabel the smaller
+    member list into the larger, so a vertex is relabeled O(log n) times and
+    uniform sampling inside a component is O(1); the live white roots sit in
+    a swap-remove registry for O(1) uniform choice.
     """
 
     __slots__ = (
-        "n", "edge_count", "_uf", "_size", "_root", "_blue", "_members",
+        "n", "edge_count", "_rep", "_size", "_root", "_members",
         "_white_roots", "_white_pos",
     )
 
@@ -54,39 +57,30 @@ class ForestState:
             raise ValueError("need at least one vertex")
         self.n = n
         self.edge_count = 0
-        self._uf = list(range(n + 1))
+        self._rep = list(range(n + 1))
         self._size = [1] * (n + 1)
         self._root = list(range(n + 1))  # tree-root vertex per representative
-        self._blue = [False] * (n + 1)
-        self._blue[n] = True
         self._members = [[v] for v in range(n + 1)]
         self._white_roots = list(range(1, n))
         self._white_pos = {v: i for i, v in enumerate(self._white_roots)}
 
     # -- queries ------------------------------------------------------------
 
-    def _find(self, v: int) -> int:
-        uf = self._uf
-        while uf[v] != v:
-            uf[v] = uf[uf[v]]
-            v = uf[v]
-        return v
-
     def same_component(self, u: int, v: int) -> bool:
-        return self._find(u) == self._find(v)
+        return self._rep[u] == self._rep[v]
 
     def is_blue(self, v: int) -> bool:
-        return self._blue[self._find(v)]
+        return self._rep[v] == self._rep[self.n]
 
     def component_size(self, v: int) -> int:
-        return self._size[self._find(v)]
+        return self._size[self._rep[v]]
 
     def component_root(self, v: int) -> int:
-        return self._root[self._find(v)]
+        return self._root[self._rep[v]]
 
     @property
     def blue_size(self) -> int:
-        return self._size[self._find(self.n)]
+        return self._size[self._rep[self.n]]
 
     @property
     def component_count(self) -> int:
@@ -102,10 +96,6 @@ class ForestState:
     def white_root_at(self, index: int) -> int:
         return self._white_roots[index]
 
-    def random_blue_vertex(self, rng: RandomSource) -> int:
-        members = self._members[self._find(self.n)]
-        return members[rng.integer(0, len(members))]
-
     def is_white_root(self, v: int) -> bool:
         return v in self._white_pos
 
@@ -120,23 +110,25 @@ class ForestState:
         """
         if v1 not in self._white_pos:
             raise ValueError(f"vertex {v1} is not a white root")
-        r1 = self._find(v1)
-        r2 = self._find(v2)
+        rep = self._rep
+        r1 = rep[v1]
+        r2 = rep[v2]
         if r1 == r2:
             raise ValueError(f"vertices {v1} and {v2} share a component")
-        to_blue = self._blue[r2]
+        to_blue = r2 == rep[self.n]
         new_root = self._root[r2]
-        # union by size, folding the smaller member list into the larger
+        # merge by size: the smaller member list is relabeled and folded in
         if self._size[r1] < self._size[r2]:
             small, big = r1, r2
         else:
             small, big = r2, r1
-        self._uf[small] = big
+        moved = self._members[small]
+        for u in moved:
+            rep[u] = big
         self._size[big] += self._size[small]
-        self._members[big].extend(self._members[small])
+        self._members[big].extend(moved)
         self._members[small] = []
         self._root[big] = new_root
-        self._blue[big] = to_blue
         # v1 stops being a root; v2's component root is unchanged
         pos = self._white_pos.pop(v1)
         last = self._white_roots.pop()
@@ -218,18 +210,21 @@ def _markov_attach(state: ForestState, v: int, rng: RandomSource) -> PeelStep:
     then a uniform member of the class.  Equivalent to the per-vertex law.
     """
     n = state.n
-    ell = state.blue_size
-    m = state.component_size(v)
+    rep = state._rep
+    blue = rep[n]
+    own = rep[v]
+    ell = state._size[blue]
+    m = state._size[own]
     _check_transition_weights(n, ell, m)
     if rng.uniform() < (ell + m) / n:
-        parent = state.random_blue_vertex(rng)
+        parent = state._members[blue][rng.integer(0, ell)]
     else:
         # uniform white vertex outside v's component via rejection; given
         # that this class was drawn, the expected number of tries is
         # n / (n - ell - m), so the amortized cost per step is O(1)
         while True:
             parent = rng.integer(1, n + 1)
-            if not state.is_blue(parent) and not state.same_component(parent, v):
+            if rep[parent] != blue and rep[parent] != own:
                 break
     return state.attach(v, parent)
 

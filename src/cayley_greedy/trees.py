@@ -166,6 +166,10 @@ def _key_sequence(key: tuple[int, int]):
     return _key_sequence_type()(key)
 
 
+#: numpy's ``next_double``: the top 53 bits of a raw word times 2^-53
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
+
+
 class RandomSource:
     """Seeded, splittable randomness based on the counter-based Philox generator.
 
@@ -178,14 +182,18 @@ class RandomSource:
     ``SeedSequence(entropy=seed, spawn_key=path).generate_state(2, uint64)``,
     but the key is derived here: each source caches its seed-sequence pool,
     and a child's pool is its parent's plus one absorbed index, so a child
-    pays for its own index only.  The numpy generator is built on the first
-    draw, for about 10 us in all, and a source that only spawns children,
-    and is never drawn from, costs nothing.  ``child`` keeps a reference to
-    its parent.  Negative seeds and path entries are rejected here, not at
-    first draw.
+    pays for its own index only.  The Philox bit generator is built on the
+    first draw, and a source that only spawns children, and is never drawn
+    from, costs nothing.  ``child`` keeps a reference to its parent.
+    Negative seeds and path entries are rejected here, not at first draw.
+
+    Scalar draws are computed here from raw Philox words with numpy's own
+    arithmetic, so they equal ``Generator.random()`` and
+    ``Generator.integers(low, high)`` without numpy's per-call dispatch.
     """
 
-    __slots__ = ("seed", "_parent", "_tail", "_pool", "_generator")
+    __slots__ = ("seed", "_parent", "_tail", "_pool", "_bitgen", "_half",
+                 "_generator")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
@@ -197,6 +205,8 @@ class RandomSource:
                 f"got seed={self.seed} path={self._tail}"
             )
         self._pool = None
+        self._bitgen = None
+        self._half = None
         self._generator = None
 
     @property
@@ -216,12 +226,26 @@ class RandomSource:
             self._pool = state
         return state
 
+    def _bit_generator(self):
+        """The stream's Philox bit generator, built on first use."""
+        if self._bitgen is None:
+            key = _key_sequence(_philox_key(self._pool_state()))
+            self._bitgen = np.random.Philox(key)
+        return self._bitgen
+
     @property
     def generator(self) -> np.random.Generator:
-        """The stream's numpy generator, built on first use."""
+        """The stream's numpy generator, built on first use over the same Philox."""
         if self._generator is None:
-            key = _key_sequence(_philox_key(self._pool_state()))
-            self._generator = np.random.Generator(np.random.Philox(key))
+            bitgen = self._bit_generator()
+            if self._half is not None:
+                # numpy's philox_next32 returns a pending half before it
+                # draws a new word; put ours where it looks
+                state = bitgen.state
+                state["has_uint32"], state["uinteger"] = 1, self._half
+                bitgen.state = state
+                self._half = None
+            self._generator = np.random.Generator(bitgen)
         return self._generator
 
     def child(self, index: int) -> "RandomSource":
@@ -237,25 +261,57 @@ class RandomSource:
         child._parent = self
         child._tail = (index,)
         child._pool = None
+        child._bitgen = None
+        child._half = None
         child._generator = None
         return child
 
-    # scalar draws are the explorations' hot path: they read the slot, and
-    # go through the property only to build the generator
+    # scalar draws are the explorations' hot path: they read the slots, and
+    # call a method only to build the bit generator
 
     def uniform(self) -> float:
-        """One double in [0, 1)."""
-        gen = self._generator
-        if gen is None:
-            gen = self.generator
-        return float(gen.random())
+        """One double in [0, 1), as numpy's ``next_double`` makes it."""
+        bitgen = self._bitgen
+        if bitgen is None:
+            bitgen = self._bit_generator()
+        return (bitgen.random_raw() >> 11) * _DOUBLE_UNIT
 
     def integer(self, low: int, high: int) -> int:
-        """One integer in [low, high)."""
-        gen = self._generator
-        if gen is None:
-            gen = self.generator
-        return int(gen.integers(low, high))
+        """One integer in [low, high), as ``Generator.integers(low, high)``.
+
+        For 2 to 2^32 - 1 integers this is numpy's buffered Lemire method on
+        32-bit halves, which keeps a word's high half pending, with its
+        threshold (2^32 - 1 - rng) % (rng + 1) for rng = high - 1 - low; one
+        integer draws nothing, in numpy too.  Other ranges and argument
+        types go to numpy, which raises for ``high <= low``, and so does
+        every draw once :attr:`generator`, which takes over a pending half,
+        was built.
+        """
+        span = high - low
+        if type(span) is int and self._generator is None:
+            if 1 < span <= _MASK32:
+                while True:
+                    # philox_next32: the pending half, else a new word's low
+                    # half with its high half kept
+                    half = self._half
+                    if half is None:
+                        bitgen = self._bitgen
+                        if bitgen is None:
+                            bitgen = self._bit_generator()
+                        word = bitgen.random_raw()
+                        self._half = word >> 32
+                        half = word & _MASK32
+                    else:
+                        self._half = None
+                    m = half * span
+                    # the threshold is below span, so, as numpy does, it
+                    # is computed only when m's low 32 bits are below span
+                    low32 = m & _MASK32
+                    if low32 >= span or low32 >= (_MASK32 + 1 - span) % span:
+                        return low + (m >> 32)
+            if span == 1:
+                return low
+        return int(self.generator.integers(low, high))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomSource(seed={self.seed:#x}, path={self.path})"
@@ -513,14 +569,13 @@ def pitman_sample_rooted(n: int, rng: RandomSource) -> tuple[dict[int, int], int
 
     roots = list(range(1, n + 1))
     pos = {r: i for i, r in enumerate(roots)}
-    gen = rng.generator
     for k in range(1, n):
-        v = int(gen.integers(1, n + 1))
+        v = rng.integer(1, n + 1)
         vrep = find(v)
         # uniform root of a component not containing v; rejection is cheap
         # because exactly one of the n-k+1 live roots is excluded
         while True:
-            r = roots[int(gen.integers(0, len(roots)))]
+            r = roots[rng.integer(0, len(roots))]
             if find(r) != vrep:
                 break
         parent[r] = v
@@ -594,11 +649,10 @@ def first_repetition_time(n: int, rng: RandomSource) -> int:
         raise ValueError("need at least two vertices")
     seen = bytearray(n + 1)
     seen[n] = 1
-    gen = rng.generator
     t = 0
     while True:
         t += 1
-        x = int(gen.integers(1, n + 1))
+        x = rng.integer(1, n + 1)
         if seen[x]:
             return t
         seen[x] = 1

@@ -225,6 +225,15 @@ def test_tree_sweep_golden_digest(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[argv]
 
 
+def test_pitman_sample_tree_golden_digest(capsys):
+    # taken when the Pitman sampler drew through Generator.integers
+    argv = "sample-tree --method pitman --n 50 --count 30 --seed 3"
+    code, out = run(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "98b28f8ecb856b4cb2f68a4f2d15dbb41a5088ef1c77c73b33ee7c741b70f70e")
+
+
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "law.json"
     code, _ = run(["exact-law", "--n", "4", "--out", str(out_path)], capsys)

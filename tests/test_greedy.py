@@ -515,6 +515,16 @@ def test_greedy_markov_peeling_golden(n, seed):
     assert (out.size, out.steps, out.root_last, out.active_set) == (*expected_out, None)
 
 
+def test_greedy_markov_peeling_golden_digest_n10000():
+    # a long run pins the scalar draws well past the small cases above;
+    # taken when the draws went through Generator.integers and .random
+    steps, out = greedy_markov_peeling(10_000, RandomSource(7))
+    trace = [(s.peeled, s.parent, int(s.recolored_to_blue)) for s in steps]
+    assert (len(steps), out.size, out.steps, out.root_last) == (6946, 5006, 6947, 1)
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == (
+        "b403b59d6ed4ef102bed507e13d9f9947c1db7943707e3c56c1e4c49302f81d9")
+
+
 # ---------------------------------------------------------------------------
 # Exact law
 # ---------------------------------------------------------------------------

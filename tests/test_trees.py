@@ -275,12 +275,111 @@ def test_philox_key_refuses_other_state_requests(n_words, dtype):
         key.generate_state(n_words, dtype)
 
 
+# ---------------------------------------------------------------------------
+# Scalar draws from raw Philox words; numpy's Generator is the oracle
+# ---------------------------------------------------------------------------
+
+#: ranges that RandomSource.integer computes from raw words: one integer
+#: draws nothing, 2 .. 2^32 - 1 integers run the Lemire method (2^31 + 1
+#: rejects about half its draws), and 2^32 - 1 is the widest
+RAW_RANGES = [(3, 4), (0, 2), (-1, 2), (5, 12), (0, 10**9), (7, 7 + 2**31 + 1),
+              (0, 2**32 - 1)]
+#: draws that go to numpy's integers and hand the stream to it
+NUMPY_DRAWS = [(0, 2**32), (-5, 2**40 - 5), (np.int64(0), np.int64(10))]
+
+
+def _oracle(seed, path=()):
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=path)))
+
+
+def _philox_state(bit_generator):
+    # numpy leaves a used half word in "uinteger"; only a pending one counts
+    state = bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"],
+            state["uinteger"] if state["has_uint32"] else None)
+
+
+def _draw_both(source, oracle, op):
+    """One scripted draw from both; op is (low, high), or None for a uniform."""
+    if op is None:
+        got, want = source.uniform(), oracle.random()
+    else:
+        got, want = source.integer(*op), int(oracle.integers(*op))
+    assert type(got) is type(want) and got == want, op
+
+
+def _script(rnd, count, ops):
+    return [rnd.choice(ops) for _ in range(count)]
+
+
+def test_range_of_one_draws_nothing_in_numpy():
+    oracle = _oracle(3)
+    oracle.integers(0, 10)
+    before = _philox_state(oracle.bit_generator)
+    assert int(oracle.integers(3, 4)) == 3
+    assert _philox_state(oracle.bit_generator) == before
+
+
+def test_raw_word_draws_equal_numpy_generator():
+    rnd = random.Random(1414)
+    for seed, path in [(0, ()), (5, (3,)), (2024, (1, 0)), (2**40 + 3, (123456,))]:
+        source, oracle = RandomSource(seed, path), _oracle(seed, path)
+        for op in _script(rnd, 3000, RAW_RANGES + [None, None]):
+            _draw_both(source, oracle, op)
+        # the hand-off writes a pending half into numpy's state, and the two
+        # bit generators then agree word for word
+        assert (_philox_state(source.generator.bit_generator)
+                == _philox_state(oracle.bit_generator))
+
+
+def test_numpy_draws_take_over_the_stream():
+    rnd = random.Random(1515)
+    pending_at_hand_off = set()
+    for case in range(12):
+        source, oracle = RandomSource(31, (case,)), _oracle(31, (case,))
+        for op in _script(rnd, rnd.randrange(1, 40), RAW_RANGES + [None]):
+            _draw_both(source, oracle, op)
+        pending_at_hand_off.add(oracle.bit_generator.state["has_uint32"])
+        _draw_both(source, oracle, NUMPY_DRAWS[case % len(NUMPY_DRAWS)])
+        for low, high in [(4, 4), (5, 2)]:
+            with pytest.raises(ValueError):
+                source.integer(low, high)
+            with pytest.raises(ValueError):
+                oracle.integers(low, high)
+        for op in _script(rnd, 200, RAW_RANGES + NUMPY_DRAWS + [None]):
+            _draw_both(source, oracle, op)
+    assert pending_at_hand_off == {0, 1}
+
+
+@pytest.mark.parametrize("pending", [0, 1])
+def test_generator_vector_draws_after_scalar_draws(pending):
+    source, oracle = RandomSource(77, (2,)), _oracle(77, (2,))
+    # range 7 rejects with probability 7 / 2^32, so 4 + pending 32-bit
+    # draws leave a half word pending exactly when pending is 1
+    for op in [(0, 7), None] * (4 + pending):
+        _draw_both(source, oracle, op)
+    assert oracle.bit_generator.state["has_uint32"] == pending
+    gen = source.generator
+    assert gen.integers(0, 10, size=5).tolist() == oracle.integers(0, 10, size=5).tolist()
+    assert gen.random(3).tolist() == oracle.random(3).tolist()
+    assert gen.permutation(10).tolist() == oracle.permutation(10).tolist()
+    for op in _script(random.Random(pending), 300, RAW_RANGES + NUMPY_DRAWS + [None]):
+        _draw_both(source, oracle, op)
+
+
 def test_drawn_source_survives_pickle():
-    source = RandomSource(2024).child(3)
-    source.uniform()
+    source, oracle = RandomSource(2024).child(3), _oracle(2024, (3,))
+    _draw_both(source, oracle, None)
+    _draw_both(source, oracle, (0, 10))
+    assert oracle.bit_generator.state["has_uint32"] == 1  # a half word pending
     clone = pickle.loads(pickle.dumps(source))
+    twin = pickle.loads(pickle.dumps(oracle))
     assert clone.path == (3,)
-    assert [clone.uniform() for _ in range(4)] == [source.uniform() for _ in range(4)]
+    for op in _script(random.Random(3), 300, RAW_RANGES + [None]):
+        _draw_both(source, oracle, op)
+        _draw_both(clone, twin, op)
     assert clone.child(1).integer(0, 10**9) == source.child(1).integer(0, 10**9)
 
 
@@ -296,19 +395,24 @@ def test_random_source_rejects_negative_at_construction(build):
 
 def test_ab_exploration_builds_one_generator(monkeypatch):
     # built like the markov_peel workload: master.child(i), then
-    # .child(0); only the stream drawn from gets a generator
-    built = []
-    philox = np.random.Philox
+    # .child(0); only the stream drawn from gets a bit generator, and
+    # scalar draws never build numpy's Generator
+    built = {"Philox": [], "Generator": []}
+    for name, original in [("Philox", np.random.Philox),
+                           ("Generator", np.random.Generator)]:
+        def counting(*args, _log=built[name], _original=original, **kwargs):
+            _log.append(args)
+            return _original(*args, **kwargs)
 
-    def counting_philox(*args, **kwargs):
-        built.append(args)
-        return philox(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(np.random, name, counting)
     master = RandomSource(17)
     child = master.child(3)
     peel_markov(4, SmallestLabelRule(), child.child(0))
-    assert len(built) == 1
+    assert len(built["Philox"]) == 1
+    peel_markov(6, UniformRule(master.child(4)), master.child(5))
+    pitman_sample(20, master.child(6))
+    first_repetition_time(20, master.child(7))
+    assert built["Generator"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +521,13 @@ def test_first_repetition_law_n3_values():
 @pytest.mark.parametrize("n", [2, 3, 5, 10, 25])
 def test_first_repetition_law_normalizes(n):
     assert sum(first_repetition_law(n).values()) == 1
+
+
+def test_first_repetition_time_golden_digest():
+    # taken when the walk drew through Generator.integers
+    times = [first_repetition_time(30, RandomSource(4).child(i)) for i in range(200)]
+    assert hashlib.sha256(repr(times).encode()).hexdigest() == (
+        "2fdbec04c762aa809cdbae5356c04d15f397987c14936adcea173e2f362dc53d")
 
 
 def test_first_repetition_time_matches_law():
