@@ -39,23 +39,20 @@ def cmd_sample_tree(args) -> int:
         "aldous-broder": trees.aldous_broder_sample,
     }
     sampler = samplers[args.method]
-    lines = [
-        sampler(args.n, rng.child(i)).to_line() for i in range(args.count)
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    sample = [sampler(args.n, rng.child(i)) for i in range(args.count)]
+    _emit(trees.format_trees(sample), args.out)
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    lines = [t.to_line() for t in trees.enumerate_all(args.n)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(trees.format_trees(trees.enumerate_all(args.n)), args.out)
     return 0
 
 
-def _load_single_tree(path: str) -> trees.CayleyTree:
-    loaded = trees.read_trees(path)
+def _load_single_tree(filename: str) -> trees.CayleyTree:
+    loaded = trees.read_trees(filename)
     if len(loaded) != 1:
-        raise ValueError(f"expected exactly one tree in {path}, found {len(loaded)}")
+        raise ValueError(f"expected exactly one tree in {filename}, found {len(loaded)}")
     return loaded[0]
 
 
@@ -111,29 +108,28 @@ def cmd_greedy(args) -> int:
     master = trees.RandomSource(args.seed)
     rows = []
     for i in range(args.replicates):
-        out = greedy.greedy_uniform_tree(args.n, master.child(i))
+        out = greedy.greedy_peeling(trees.sample_uniform(args.n, master.child(i)))
         rows.append({"n": args.n, "replicate": i,
                      "G": out.size, "theta": out.steps, "E": out.root_last})
     _emit_outcomes(rows, args)
     return 0
 
 
-def cmd_matching(args) -> int:
-    _note_seed(args)
-    report = stats.tree_sweep_experiment(
-        "matching", args.n, args.replicates, args.seed, jobs=args.jobs
-    )
-    _emit(report.to_json() + "\n", args.out)
-    return 0 if report.passed else 1
+def _emit_reports(reports: list[stats.ExperimentReport], out: str | None,
+                  csv: bool = False) -> int:
+    """Reports as JSON lines, or CSV; exit code 1 if any failed."""
+    fmt = stats.format_reports_csv if csv else stats.format_reports_jsonl
+    _emit(fmt(reports), out)
+    return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_max_is(args) -> int:
+def cmd_sweep(args) -> int:
+    """``matching`` and ``max-is``: the command names the sweep kind."""
     _note_seed(args)
     report = stats.tree_sweep_experiment(
-        "max-is", args.n, args.replicates, args.seed, jobs=args.jobs
+        args.command, args.n, args.replicates, args.seed, jobs=args.jobs
     )
-    _emit(report.to_json() + "\n", args.out)
-    return 0 if report.passed else 1
+    return _emit_reports([report], args.out)
 
 
 def cmd_chain(args) -> int:
@@ -160,32 +156,23 @@ def cmd_exact_law(args) -> int:
 def cmd_verify_symmetry(args) -> int:
     if args.exact:
         check = greedy.verify_symmetry_exact(args.n, cross_check=args.cross_check)
-        pe = check.root_last_probability
         payload = {
             "n": args.n,
             "mode": "exact",
             "tv": f"{check.tv.numerator}/{check.tv.denominator}",
-            "root_last_probability": {
-                "fraction": f"{pe.numerator}/{pe.denominator}",
-                "float": float(pe),
-            },
+            "root_last_probability": greedy.fraction_to_json(check.root_last_probability),
         }
         _emit(_json(payload), args.out)
         return 0 if check.tv == 0 else 1
     _note_seed(args)
     report = stats.symmetry_experiment_mc(args.n, args.replicates, args.seed)
-    _emit(report.to_json() + "\n", args.out)
-    return 0 if report.passed else 1
+    return _emit_reports([report], args.out)
 
 
 def cmd_clt(args) -> int:
     _note_seed(args)
     reports = stats.clt_experiment(args.n, args.replicates, args.seed)
-    if args.format == "csv":
-        _emit(stats.format_reports_csv(reports), args.out)
-    else:
-        _emit(stats.format_reports_jsonl(reports), args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    return _emit_reports(reports, args.out, csv=args.format == "csv")
 
 
 def cmd_fluid(args) -> int:
@@ -293,13 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_replicates=True, with_format=True)
     p.set_defaults(func=cmd_clt)
 
-    p = sub.add_parser("matching", help="greedy matching density sweep")
-    _add_common(p, with_replicates=True, with_jobs=True)
-    p.set_defaults(func=cmd_matching)
-
-    p = sub.add_parser("max-is", help="maximum independent set density sweep")
-    _add_common(p, with_replicates=True, with_jobs=True)
-    p.set_defaults(func=cmd_max_is)
+    for name, help_text in (("matching", "greedy matching density sweep"),
+                            ("max-is", "maximum independent set density sweep")):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, with_replicates=True, with_jobs=True)
+        p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fluid", help="fluid-limit constants as JSON")
     p.add_argument("--out", default=None)

@@ -36,16 +36,16 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .peeling import PeelStep
 from .trees import (
-    CayleyTree, RandomSource, _cap, enumerate_all, sample_uniform, tree_count,
+    CayleyTree, RandomSource, _cap, enumerate_all, tree_count,
 )
 
-#: largest size accepted by exact_chain_law unless overridden
+#: largest size accepted by exact_chain_law unless CAYLEY_GREEDY_CAP overrides it
 DEFAULT_LAW_CAP = 60
 
 
@@ -185,15 +185,6 @@ def greedy_peeling(
         active_set=frozenset(active),
     )
     return (outcome, rows) if trace else outcome
-
-
-def greedy_uniform_tree(n: int, rng: RandomSource) -> GreedyOutcome:
-    """Greedy peeling of one uniform tree drawn from ``rng``.
-
-    The per-replicate kernel of the ``greedy`` command and of the
-    ``greedy-tree`` sweep; replicate i passes child stream i.
-    """
-    return greedy_peeling(sample_uniform(n, rng))
 
 
 def greedy_exploration_steps(tree: CayleyTree):
@@ -589,7 +580,7 @@ def _widen(x: int, slots: int, width: int, wide: int) -> int:
     return int.from_bytes(raw.tobytes(), "little")
 
 
-def exact_chain_law(n: int, cap: int | None = None) -> GreedyLaw:
+def exact_chain_law(n: int) -> GreedyLaw:
     """Exact joint law of (size, steps, root_last) by forward DP.
 
     The five counts reduce to the Markov triple (undetermined, active-white,
@@ -624,7 +615,7 @@ def exact_chain_law(n: int, cap: int | None = None) -> GreedyLaw:
     Cross-checked against the full five-count chain and against exhaustive
     tree enumeration in the test suite.
     """
-    limit = cap if cap is not None else _cap(DEFAULT_LAW_CAP)
+    limit = _cap(DEFAULT_LAW_CAP)
     if n > limit:
         raise ValueError(f"n={n} above the exact-law cap {limit}")
     if n < 1:
@@ -692,14 +683,14 @@ def reference_chain_law(n: int) -> GreedyLaw:
     return GreedyLaw(n, dict(joint))
 
 
-def enumeration_law(n: int, cap: int | None = None) -> GreedyLaw:
+def enumeration_law(n: int) -> GreedyLaw:
     """Joint outcome law from exhaustive enumeration of all n^(n-2) trees.
 
     Each tree's outcome is tallied straight from :func:`_greedy_walk`, the
     walk behind :func:`greedy_peeling`.
     """
     counter: dict[tuple[int, int, int], int] = defaultdict(int)
-    for tree in enumerate_all(n, cap=cap):
+    for tree in enumerate_all(n):
         active, steps, root_last = _greedy_walk(n, tree.parent_of, [False] * n + [True])
         counter[(len(active), steps, root_last)] += 1
     total = tree_count(n)
@@ -707,12 +698,17 @@ def enumeration_law(n: int, cap: int | None = None) -> GreedyLaw:
 
 
 def total_variation_exact(
-    p: dict[int, Fraction], q: dict[int, Fraction]
-) -> Fraction:
-    support = set(p) | set(q)
-    acc = Fraction(0)
-    for k in support:
-        acc += abs(p.get(k, Fraction(0)) - q.get(k, Fraction(0)))
+    p: Mapping[int, float | Fraction], q: Mapping[int, float | Fraction]
+) -> float | Fraction:
+    """(1/2) sum |p - q| over the union support.
+
+    Exact, a ``Fraction``, on ``Fraction`` inputs; on floats a float, summed
+    term by term in a plain loop, so the result does not depend on whether
+    ``sum()`` compensates its rounding.
+    """
+    acc = Fraction(0)  # the first float term turns it into a float
+    for k in set(p) | set(q):
+        acc += abs(p.get(k, 0) - q.get(k, 0))
     return acc / 2
 
 
@@ -877,28 +873,21 @@ def format_outcomes_csv(rows: Iterable[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_outcomes_csv(rows: Iterable[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_outcomes_csv(rows))
+def fraction_to_json(x: Fraction) -> dict:
+    """An exact probability as ``{"fraction": "p/q", "float": x}``."""
+    return {"fraction": f"{x.numerator}/{x.denominator}", "float": float(x)}
 
 
 def law_to_json_dict(law: GreedyLaw) -> dict:
     """JSON-ready view: size law as {value: {"fraction": "p/q", "float": x}}."""
 
     def fmt(mapping: dict[int, Fraction]) -> dict[str, dict]:
-        return {
-            str(k): {"fraction": f"{v.numerator}/{v.denominator}", "float": float(v)}
-            for k, v in sorted(mapping.items())
-        }
+        return {str(k): fraction_to_json(v) for k, v in sorted(mapping.items())}
 
-    pe = law.root_last_probability()
     return {
         "n": law.n,
         "size_law": fmt(law.size_law()),
         "steps_law": fmt(law.steps_law()),
         "complement_law": fmt(law.complement_law()),
-        "root_last_probability": {
-            "fraction": f"{pe.numerator}/{pe.denominator}",
-            "float": float(pe),
-        },
+        "root_last_probability": fraction_to_json(law.root_last_probability()),
     }

@@ -307,8 +307,3 @@ def format_steps_csv(steps: Iterable[PeelStep]) -> str:
         for i, s in enumerate(steps, start=1)
     ]
     return "\n".join(lines) + "\n"
-
-
-def write_steps_csv(steps: Iterable[PeelStep], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_steps_csv(steps))

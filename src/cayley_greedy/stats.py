@@ -44,32 +44,28 @@ class EmpiricalDistribution:
     def prob(self, value: int) -> float:
         return self.counts.get(value, 0) / self.total
 
-    def support(self) -> list[int]:
-        return sorted(self.counts)
-
     def as_probs(self) -> dict[int, float]:
         return {k: v / self.total for k, v in self.counts.items()}
 
     def tv_to(self, law: Mapping[int, float | Fraction]) -> float:
-        """Total variation distance to a reference law on the same lattice."""
-        support = set(self.counts) | set(law)
-        acc = 0.0
-        for k in support:
-            acc += abs(self.prob(k) - float(law.get(k, 0)))
-        return acc / 2
+        """Total variation distance, in floats, to a reference law on the same lattice."""
+        return greedy.total_variation_exact(
+            self.as_probs(), {k: float(v) for k, v in law.items()})
+
+
+#: how far from 1 the total mass of a law given to total_variation may be
+NORMALIZATION_TOL = 1e-9
 
 
 def total_variation(
     p: Mapping[int, float | Fraction], q: Mapping[int, float | Fraction],
-    tol: float = 1e-9,
-) -> float:
-    """(1/2) sum |p - q| over the union support; inputs must be normalized."""
+) -> float | Fraction:
+    """:func:`greedy.total_variation_exact` of two laws that must be normalized."""
     for name, dist in (("p", p), ("q", q)):
         s = float(sum(dist.values()))
-        if abs(s - 1.0) > tol:
+        if abs(s - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"distribution {name} sums to {s}, not 1")
-    support = set(p) | set(q)
-    return sum(abs(float(p.get(k, 0)) - float(q.get(k, 0))) for k in support) / 2
+    return greedy.total_variation_exact(p, q)
 
 
 def chi_square_uniform(counts: Sequence[int]) -> tuple[float, float]:
@@ -153,6 +149,12 @@ def ks_gaussian(
     return stat, float(scipy.stats.kstwo.sf(stat, values.size))
 
 
+REPORT_FIELDS = [
+    "n", "replicates", "seed", "statistic", "observed", "target",
+    "tolerance", "lower", "upper", "passed",
+]
+
+
 @dataclass
 class ExperimentReport:
     """One verified statistic; passes iff observed lies in [lower, upper].
@@ -179,27 +181,7 @@ class ExperimentReport:
         self.passed = self.lower <= self.observed <= self.upper
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "replicates": self.replicates,
-                "seed": self.seed,
-                "statistic": self.statistic,
-                "observed": self.observed,
-                "target": self.target,
-                "tolerance": self.tolerance,
-                "lower": self.lower,
-                "upper": self.upper,
-                "passed": self.passed,
-            },
-            sort_keys=True,
-        )
-
-
-REPORT_FIELDS = [
-    "n", "replicates", "seed", "statistic", "observed", "target",
-    "tolerance", "lower", "upper", "passed",
-]
+        return json.dumps({k: getattr(self, k) for k in REPORT_FIELDS}, sort_keys=True)
 
 
 def format_reports_jsonl(reports: Iterable[ExperimentReport]) -> str:
@@ -210,16 +192,6 @@ def format_reports_csv(reports: Iterable[ExperimentReport]) -> str:
     lines = [",".join(REPORT_FIELDS)]
     lines += [",".join(str(getattr(r, k)) for k in REPORT_FIELDS) for r in reports]
     return "\n".join(lines) + "\n"
-
-
-def write_reports_jsonl(reports: Iterable[ExperimentReport], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_reports_jsonl(reports))
-
-
-def write_reports_csv(reports: Iterable[ExperimentReport], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_reports_csv(reports))
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +319,7 @@ def _ratio_values(kind: str, n: int, seed: int, start: int, stop: int) -> list[f
     for i in range(start, stop):
         child = master.child(i)
         if kind == "greedy-tree":
-            value = greedy.greedy_uniform_tree(n, child).size
+            value = greedy.greedy_peeling(sample_uniform(n, child)).size
         elif kind == "matching":
             tree = sample_uniform(n, child)
             order = child.generator.permutation(np.arange(1, n)).tolist()

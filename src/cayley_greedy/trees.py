@@ -17,16 +17,21 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: largest size accepted by :func:`enumerate_all` unless overridden
-#: (9**7 ~ 4.8M trees keeps exhaustive sweeps in the minutes range).
+#: largest size accepted by :func:`enumerate_all` unless CAYLEY_GREEDY_CAP
+#: overrides it (9**7 ~ 4.8M trees keeps exhaustive sweeps in the minutes range).
 DEFAULT_ENUMERATION_CAP = 9
 
 _CAP_ENV_VAR = "CAYLEY_GREEDY_CAP"
 
 
 def _cap(default: int) -> int:
+    """The size cap: CAYLEY_GREEDY_CAP, a non-negative integer, if set, else ``default``."""
     value = os.environ.get(_CAP_ENV_VAR)
-    return int(value) if value else default
+    if not value:
+        return default
+    if not value.strip().isdecimal():
+        raise ValueError(f"{_CAP_ENV_VAR} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 # Philox key derivation, word for word as numpy's SeedSequence does it
@@ -185,25 +190,23 @@ class RandomSource:
     pays for its own index only.  The Philox bit generator is built on the
     first draw, and a source that only spawns children, and is never drawn
     from, costs nothing.  ``child`` keeps a reference to its parent.
-    Negative seeds and path entries are rejected here, not at first draw.
+    Negative seeds and child indices are rejected here, not at first draw.
 
     Scalar draws are computed here from raw Philox words with numpy's own
     arithmetic, so they equal ``Generator.random()`` and
     ``Generator.integers(low, high)`` without numpy's per-call dispatch.
     """
 
-    __slots__ = ("seed", "_parent", "_tail", "_pool", "_bitgen", "_half",
+    __slots__ = ("seed", "_parent", "_index", "_pool", "_bitgen", "_half",
                  "_generator")
 
-    def __init__(self, seed: int, path: tuple[int, ...] = ()):
+    def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed and child indices must be non-negative, "
+                             f"got seed={self.seed}")
         self._parent = None
-        self._tail = tuple(int(p) for p in path)
-        if self.seed < 0 or any(p < 0 for p in self._tail):
-            raise ValueError(
-                f"seed and child indices must be non-negative, "
-                f"got seed={self.seed} path={self._tail}"
-            )
+        self._index = None
         self._pool = None
         self._bitgen = None
         self._half = None
@@ -212,17 +215,19 @@ class RandomSource:
     @property
     def path(self) -> tuple[int, ...]:
         """Child indices from the root source to this one."""
-        head = self._parent.path if self._parent is not None else ()
-        return head + self._tail
+        if self._parent is None:
+            return ()
+        return self._parent.path + (self._index,)
 
     def _pool_state(self) -> _Pool:
         """Pool after the seed and path; cached here and in every ancestor."""
         state = self._pool
         if state is None:
             parent = self._parent
-            state = _seed_pool(self.seed) if parent is None else parent._pool_state()
-            for index in self._tail:
-                state = _absorb(state, index)
+            if parent is None:
+                state = _seed_pool(self.seed)
+            else:
+                state = _absorb(parent._pool_state(), self._index)
             self._pool = state
         return state
 
@@ -259,7 +264,7 @@ class RandomSource:
         child = object.__new__(RandomSource)
         child.seed = self.seed
         child._parent = self
-        child._tail = (index,)
+        child._index = index
         child._pool = None
         child._bitgen = None
         child._half = None
@@ -414,28 +419,20 @@ class CayleyTree:
         return f"CayleyTree(n={self.n}, parents={self.parents})"
 
 
-def write_trees(trees: Iterable[CayleyTree], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in trees:
-            fh.write(t.to_line() + "\n")
+def format_trees(trees: Iterable[CayleyTree]) -> str:
+    """Tree file text, one :meth:`CayleyTree.to_line` per line; read back by
+    :func:`read_trees`."""
+    return "".join(t.to_line() + "\n" for t in trees)
 
 
-def read_trees(path: str) -> list[CayleyTree]:
-    with open(path, encoding="utf-8") as fh:
+def read_trees(filename: str) -> list[CayleyTree]:
+    with open(filename, encoding="utf-8") as fh:
         return [CayleyTree.from_line(line) for line in fh if line.strip()]
 
 
 # --------------------------------------------------------------------------
 # Pruefer correspondence
 # --------------------------------------------------------------------------
-
-def prufer_to_string(symbols: Sequence[int]) -> str:
-    return ",".join(str(s) for s in symbols)
-
-
-def prufer_from_string(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
 
 def prufer_decode(symbols: Sequence[int], n: int | None = None) -> CayleyTree:
     """Tree corresponding to a Pruefer sequence, rooted at n.
@@ -521,13 +518,13 @@ def sample_uniform(n: int, rng: RandomSource) -> CayleyTree:
     return prufer_decode(symbols.tolist(), n)
 
 
-def enumerate_all(n: int, cap: int | None = None) -> Iterator[CayleyTree]:
+def enumerate_all(n: int) -> Iterator[CayleyTree]:
     """Every tree on {1..n} exactly once (n^(n-2) of them), via Pruefer sequences.
 
     Refuses n above the cap; override with the CAYLEY_GREEDY_CAP environment
-    variable or the ``cap`` argument.
+    variable.
     """
-    limit = cap if cap is not None else _cap(DEFAULT_ENUMERATION_CAP)
+    limit = _cap(DEFAULT_ENUMERATION_CAP)
     if n > limit:
         raise ValueError(f"n={n} above the enumeration cap {limit}")
     if n < 1:

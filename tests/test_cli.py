@@ -218,11 +218,37 @@ SWEEP_SHA256 = {
 }
 
 
+#: SHA-256 of the stdout of the tree files, the report printers and the
+#: two-sample symmetry TV, pinned when their writers were merged into one
+#: formatter each
+OUTPUT_SHA256 = {
+    "verify-symmetry --mc --n 12 --replicates 20000 --seed 9":
+        "3261d9b8540c220a01a8daa0c83132357dbc8bce490ecd56ec25e82671a4dac9",
+    "clt --n 1000 --replicates 2000 --seed 42 --format json":
+        "776922d199c6a48aae52a9292dff45e73cdacde6ac039a3b7202bf3b7be35f3e",
+    "clt --n 1000 --replicates 2000 --seed 42 --format csv":
+        "0dd3c430c13b543d57ee8916b69fa7539485dd00024f934d62c6cbecabbd2e69",
+    "enumerate --n 5":
+        "8e04d12516e198fa2a41e9a9a5acac533f17dc39108afd75078c4172edb46a6a",
+    "sample-tree --n 50 --count 30 --seed 3 --method prufer":
+        "2ed3cd8054f79601a5f6293d3dfba0e7b70d8db44cbc3abc4301d27254880548",
+    "sample-tree --n 50 --count 30 --seed 3 --method aldous-broder":
+        "4daa447a2ebee980401775e7c7a2fbe33a2578ce7f64c3bdc8f0674e51dc4def",
+}
+
+
 @pytest.mark.parametrize("argv", sorted(SWEEP_SHA256))
 def test_tree_sweep_golden_digest(argv, capsys):
     code, out = run(argv.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256))
+def test_output_golden_digest(argv, capsys):
+    code, out = run(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
 
 
 def test_pitman_sample_tree_golden_digest(capsys):
@@ -324,39 +350,48 @@ def test_flags_that_do_nothing_are_rejected(argv, capsys):
 
 
 def _bad_input_cases(tmp_path):
+    """Case name -> (argv, environment variables set for the run)."""
     two = tmp_path / "two.txt"
     two.write_text("3;3,1\n3;3,2\n")
     one = tmp_path / "one.txt"
     one.write_text("3;3,1\n")
     return {
-        "missing tree file": ["peel", "--fixed-tree", str(tmp_path / "missing.txt")],
-        "two trees": ["peel", "--fixed-tree", str(two), "--alg", "ab"],
-        "fixed tree of another size": ["peel", "--fixed-tree", str(one), "--alg", "ab",
-                                       "--n", "4"],
-        "peel without n": ["peel", "--alg", "ab"],
-        "seed with a fixed tree": ["peel", "--fixed-tree", str(one), "--alg", "ab",
-                                   "--seed", "5"],
-        "unwritable out": ["exact-law", "--n", "3",
-                           "--out", str(tmp_path / "no-such-dir" / "law.json")],
+        "missing tree file": (["peel", "--fixed-tree", str(tmp_path / "missing.txt")], {}),
+        "two trees": (["peel", "--fixed-tree", str(two), "--alg", "ab"], {}),
+        "fixed tree of another size": (["peel", "--fixed-tree", str(one), "--alg", "ab",
+                                        "--n", "4"], {}),
+        "peel without n": (["peel", "--alg", "ab"], {}),
+        "seed with a fixed tree": (["peel", "--fixed-tree", str(one), "--alg", "ab",
+                                    "--seed", "5"], {}),
+        "unwritable out": (["exact-law", "--n", "3",
+                            "--out", str(tmp_path / "no-such-dir" / "law.json")], {}),
+        "cap not an integer": (["enumerate", "--n", "3"], {"CAYLEY_GREEDY_CAP": "abc"}),
+        "negative cap": (["exact-law", "--n", "3"], {"CAYLEY_GREEDY_CAP": "-1"}),
     }
 
 
 @pytest.mark.parametrize("case", ["missing tree file", "two trees",
                                   "fixed tree of another size",
                                   "peel without n", "seed with a fixed tree",
-                                  "unwritable out"])
-def test_bad_input_exits_two_with_one_line(case, tmp_path, capsys):
+                                  "unwritable out", "cap not an integer",
+                                  "negative cap"])
+def test_bad_input_exits_two_with_one_line(case, tmp_path, capsys, monkeypatch):
+    argv, env = _bad_input_cases(tmp_path)[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as err:
-        main(_bad_input_cases(tmp_path)[case])
+        main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("cayley-greedy: error: ")
+    # a bad environment variable is named, with its value
+    assert all(name in lines[0] and value in lines[0] for name, value in env.items())
 
 
 def test_bad_input_prints_no_traceback(tmp_path):
-    argv = _bad_input_cases(tmp_path)["missing tree file"]
+    argv, _ = _bad_input_cases(tmp_path)["missing tree file"]
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from cayley_greedy.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],

@@ -44,9 +44,10 @@ from cayley_greedy.greedy import (
     greedy_exploration_steps,
     greedy_markov_peeling,
     law_to_json_dict,
+    format_outcomes_csv,
     total_variation_exact,
-    write_outcomes_csv,
 )
+from cayley_greedy.cli import main
 from cayley_greedy.stats import EmpiricalDistribution
 from strategies import parent_tables
 
@@ -706,11 +707,11 @@ def test_blue_split_weights_sum_to_factorial():
         assert all(w > 0 for w in weights.values())
 
 
-def test_exact_law_cap():
+def test_exact_law_cap(monkeypatch):
     with pytest.raises(ValueError):
         exact_chain_law(61)
-    law = exact_chain_law(61, cap=61)
-    assert law.n == 61
+    monkeypatch.setenv("CAYLEY_GREEDY_CAP", "61")
+    assert exact_chain_law(61).n == 61
 
 
 @pytest.mark.parametrize("value", ["0", "4"])
@@ -721,7 +722,8 @@ def test_cap_env_var_read_the_same_by_dp_and_enumeration(value, monkeypatch):
         next(iter(enumerate_all(n)))
     with pytest.raises(ValueError):
         exact_chain_law(n)
-    assert exact_chain_law(n, cap=n).n == n
+    monkeypatch.setenv("CAYLEY_GREEDY_CAP", str(n))
+    assert exact_chain_law(n).n == n
 
 
 def test_symmetry_exact_small():
@@ -766,6 +768,18 @@ def test_total_variation_exact():
     q = {1: Fraction(1, 2), 3: Fraction(1, 2)}
     assert total_variation_exact(p, p) == 0
     assert total_variation_exact(p, q) == Fraction(1, 2)
+    # exact on Fractions: a Fraction comes back, with no float rounding
+    thirds = {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
+    tv = total_variation_exact(thirds, {0: Fraction(1)})
+    assert type(tv) is Fraction and tv == Fraction(2, 3)
+    assert type(total_variation_exact(p, p)) is Fraction
+    # floats give a float; a Fraction against a float law gives the float TV
+    floats = {1: 0.5, 3: 0.5}
+    assert type(total_variation_exact(floats, floats)) is float
+    assert total_variation_exact(p, floats) == 0.5
+    assert type(total_variation_exact(p, floats)) is float
+    # an empty support has distance 0
+    assert total_variation_exact({}, {}) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -875,20 +889,20 @@ def test_max_is_equals_dp_on_parent_tables(table):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def test_write_outcomes_csv(tmp_path):
+def test_write_outcomes_csv(tmp_path, capsys):
+    text = format_outcomes_csv([
+        {"n": 3, "replicate": 0, "G": 2, "theta": 2, "E": 1},
+        {"n": 3, "replicate": 1, "M": 1},
+    ])
+    assert text == "n,replicate,G,theta,E,M,maxIS\n3,0,2,2,1,,\n3,1,,,,1,\n"
+    # --out writes the bytes the command prints, with LF line ends
     path = tmp_path / "out.csv"
-    write_outcomes_csv(
-        [
-            {"n": 3, "replicate": 0, "G": 2, "theta": 2, "E": 1},
-            {"n": 3, "replicate": 1, "M": 1},
-        ],
-        str(path),
-    )
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,replicate,G,theta,E,M,maxIS"
-    assert lines[1] == "3,0,2,2,1,,"
-    assert lines[2] == "3,1,,,,1,"
-    assert b"\r" not in path.read_bytes()  # LF line ends, as the CLI prints
+    argv = ["greedy", "--n", "30", "--replicates", "3", "--seed", "8"]
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert path.read_bytes() == capsys.readouterr().out.encode()
+    assert b"\r" not in path.read_bytes()
 
 
 def test_law_to_json_dict():

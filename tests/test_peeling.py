@@ -23,13 +23,10 @@ from cayley_greedy import (
     sample_uniform,
     tree_count,
 )
-from cayley_greedy.peeling import (
-    PeelStep,
-    _check_transition_weights,
-    format_steps_csv,
-    write_steps_csv,
-)
+from cayley_greedy.cli import main
+from cayley_greedy.peeling import PeelStep, _check_transition_weights, format_steps_csv
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
+from cayley_greedy.trees import format_trees
 
 PATH_2_1_3 = CayleyTree(3, (3, 1))  # edges 2-1 and 1-3, rooted at 3
 
@@ -335,15 +332,18 @@ def test_transition_weight_check_rejects_impossible_sizes():
 # Serialization
 # ---------------------------------------------------------------------------
 
-def test_write_steps_csv(tmp_path):
+def test_write_steps_csv(tmp_path, capsys):
     steps = peel_fixed_tree(PATH_2_1_3, SmallestLabelRule())
+    text = format_steps_csv(steps)
+    assert text == "step,peeled,parent,recolored\n1,1,3,1\n2,2,1,1\n"
+    # the same trace through a tree file and --out, with LF line ends
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text(format_trees([PATH_2_1_3]))
     path = tmp_path / "steps.csv"
-    write_steps_csv(steps, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,peeled,parent,recolored"
-    assert lines[1] == "1,1,3,1"
-    assert len(lines) == 3
-    assert b"\r" not in path.read_bytes()  # LF line ends, as the CLI prints
+    assert main(["peel", "--fixed-tree", str(tree_file), "--alg", "ab",
+                 "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == text.encode()
 
 
 def test_peel_step_is_a_named_tuple():

@@ -21,12 +21,14 @@ from cayley_greedy import (
     total_variation,
     tree_sweep_experiment,
 )
+from cayley_greedy.cli import main
 from cayley_greedy.stats import (
+    REPORT_FIELDS,
+    format_reports_csv,
+    format_reports_jsonl,
     gaussian_lattice_distance,
     greedy_ratio_experiment,
     sweep_workers,
-    write_reports_csv,
-    write_reports_jsonl,
 )
 
 
@@ -38,6 +40,14 @@ def test_total_variation_basics():
     p = {1: 0.5, 2: 0.5}
     assert total_variation(p, p) == 0
     assert total_variation({1: 1.0}, {2: 1.0}) == 1
+    # Fractions stay exact; a Fraction against a float law gives a float
+    half = {1: Fraction(1, 2), 2: Fraction(1, 2)}
+    tv = total_variation(half, {1: Fraction(1, 3), 2: Fraction(2, 3)})
+    assert type(tv) is Fraction and tv == Fraction(1, 6)
+    assert total_variation(half, {1: 0.25, 3: 0.75}) == 0.75
+    # an empty law has mass 0, not 1
+    with pytest.raises(ValueError):
+        total_variation({}, {})
 
 
 def test_total_variation_rejects_unnormalized():
@@ -163,7 +173,7 @@ def test_empirical_distribution():
     emp = EmpiricalDistribution.from_samples([1, 1, 2, 3])
     assert emp.total == 4
     assert emp.prob(1) == 0.5
-    assert emp.support() == [1, 2, 3]
+    assert emp.as_probs() == {1: 0.5, 2: 0.25, 3: 0.25}
     assert emp.tv_to({1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}) == 0
 
 
@@ -187,21 +197,27 @@ def test_report_explicit_band():
     assert r.passed
 
 
-def test_report_serialization(tmp_path):
+def test_report_serialization(tmp_path, capsys):
     reports = [
         ExperimentReport(n=3, replicates=10, seed=7, statistic="a",
                          observed=1.0, target=1.0, tolerance=0.1),
     ]
-    jpath = tmp_path / "r.jsonl"
-    cpath = tmp_path / "r.csv"
-    write_reports_jsonl(reports, str(jpath))
-    write_reports_csv(reports, str(cpath))
-    row = json.loads(jpath.read_text().strip())
+    jsonl = format_reports_jsonl(reports)
+    row = json.loads(jsonl)
     assert row["statistic"] == "a" and row["passed"] is True
-    lines = cpath.read_text().strip().splitlines()
-    assert lines[0].startswith("n,replicates,seed,statistic")
-    assert len(lines) == 2
-    assert b"\r" not in cpath.read_bytes()  # LF line ends, as the CLI prints
+    # one schema: the JSON keys and the CSV columns are REPORT_FIELDS
+    assert sorted(row) == sorted(REPORT_FIELDS)
+    lines = format_reports_csv(reports).splitlines()
+    assert lines == [",".join(REPORT_FIELDS), "3,10,7,a,1.0,1.0,0.1,0.9,1.1,True"]
+    # --out writes the bytes the command prints, in both formats
+    argv = ["clt", "--n", "100", "--replicates", "100", "--seed", "3"]
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"r.{fmt}"
+        main(argv + ["--format", fmt, "--out", str(path)])
+        assert capsys.readouterr().out == ""
+        main(argv + ["--format", fmt])
+        assert path.read_bytes() == capsys.readouterr().out.encode()
+        assert b"\r" not in path.read_bytes()
 
 
 # ---------------------------------------------------------------------------

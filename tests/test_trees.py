@@ -29,13 +29,7 @@ from cayley_greedy import (
     tree_count,
 )
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
-from cayley_greedy.trees import (
-    _key_sequence,
-    prufer_from_string,
-    prufer_to_string,
-    read_trees,
-    write_trees,
-)
+from cayley_greedy.trees import _key_sequence, format_trees, read_trees
 from strategies import parent_tables
 
 
@@ -119,11 +113,12 @@ def test_enumerate_unique_and_valid():
     assert len(set(t.parents for t in trees)) == 125
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     with pytest.raises(ValueError):
         next(iter(enumerate_all(10)))
-    # the cap argument overrides
-    assert sum(1 for _ in enumerate_all(2, cap=20)) == 1
+    # the environment variable overrides
+    monkeypatch.setenv("CAYLEY_GREEDY_CAP", "20")
+    assert sum(1 for _ in enumerate_all(2)) == 1
 
 
 def test_enumerate_cap_env_override(monkeypatch):
@@ -162,16 +157,13 @@ def test_tree_serialization_round_trip():
     assert CayleyTree.from_line("2;2").parents == (2,)
 
 
-def test_prufer_string_round_trip():
-    assert prufer_from_string(prufer_to_string([4, 1, 2])) == [4, 1, 2]
-    assert prufer_from_string("") == []
-
-
 def test_tree_file_round_trip(tmp_path):
     rng = RandomSource(64)
     batch = [sample_uniform(7, rng.child(i)) for i in range(4)]
+    text = format_trees(batch)
+    assert text == "".join(t.to_line() + "\n" for t in batch)
     path = tmp_path / "trees.txt"
-    write_trees(batch, str(path))
+    path.write_text(text)
     assert read_trees(str(path)) == batch
 
 
@@ -210,7 +202,7 @@ def test_random_source_draws_golden_digest():
     h = hashlib.sha256()
     for seed, path in [(0, ()), (5, (3,)), (2024, (1, 0)), (0x5EED, (7, 2, 9)),
                        (2**40 + 3, (123456,))]:
-        r = RandomSource(seed, path)
+        r = _source(seed, path)
         scalars = ([r.uniform() for _ in range(3)]
                    + [r.integer(1, 1000) for _ in range(3)])
         h.update(repr(scalars).encode())
@@ -218,6 +210,14 @@ def test_random_source_draws_golden_digest():
         h.update(r.generator.permutation(10).tobytes())
     assert h.hexdigest() == (
         "062de466251616d7272cc87393752bf86b3864579e44396e68426fb7ca33001f")
+
+
+def _source(seed, path):
+    """RandomSource(seed).child(path[0]).child(path[1])..."""
+    source = RandomSource(seed)
+    for index in path:
+        source = source.child(index)
+    return source
 
 
 def _stream_key(source):
@@ -247,23 +247,21 @@ def test_philox_key_matches_seed_sequence():
     # SeedSequence is the oracle: seeds of 1-7 words (below and above the
     # four-word pool), path entries of 1-3 words, and empty paths
     for seed, path in _seeds_and_paths(2000):
-        assert _stream_key(RandomSource(seed, path)) == _seed_sequence_key(seed, path), (
+        assert _stream_key(_source(seed, path)) == _seed_sequence_key(seed, path), (
             seed, path)
 
 
-def test_child_chain_equals_direct_construction():
+def test_child_of_a_keyed_source_reads_the_cached_pool():
     for seed, path in _seeds_and_paths(200):
-        chained = RandomSource(seed)
-        for index in path:
-            chained = chained.child(index)
-        direct = RandomSource(seed, path)
-        assert chained.path == direct.path == path
-        assert _stream_key(chained) == _stream_key(direct)
-        # a directly built source with a path also caches its pool for children
-        assert (_stream_key(RandomSource(seed, path).child(9))
+        source = _source(seed, path)
+        assert source.path == path
+        # keying the source caches the pool along its path; a child made
+        # afterwards absorbs only its own index into it
+        assert _stream_key(source) == _seed_sequence_key(seed, path)
+        assert (_stream_key(source.child(9))
                 == _seed_sequence_key(seed, path + (9,)))
-    a, b = RandomSource(77).child(4).child(0), RandomSource(77, (4, 0))
-    assert [a.uniform() for _ in range(5)] == [b.uniform() for _ in range(5)]
+    a, b = RandomSource(77).child(4).child(0), _oracle(77, (4, 0))
+    assert [a.uniform() for _ in range(5)] == [b.random() for _ in range(5)]
 
 
 @pytest.mark.parametrize("n_words, dtype", [(2, np.uint32), (4, np.uint32),
@@ -325,7 +323,7 @@ def test_range_of_one_draws_nothing_in_numpy():
 def test_raw_word_draws_equal_numpy_generator():
     rnd = random.Random(1414)
     for seed, path in [(0, ()), (5, (3,)), (2024, (1, 0)), (2**40 + 3, (123456,))]:
-        source, oracle = RandomSource(seed, path), _oracle(seed, path)
+        source, oracle = _source(seed, path), _oracle(seed, path)
         for op in _script(rnd, 3000, RAW_RANGES + [None, None]):
             _draw_both(source, oracle, op)
         # the hand-off writes a pending half into numpy's state, and the two
@@ -338,7 +336,7 @@ def test_numpy_draws_take_over_the_stream():
     rnd = random.Random(1515)
     pending_at_hand_off = set()
     for case in range(12):
-        source, oracle = RandomSource(31, (case,)), _oracle(31, (case,))
+        source, oracle = RandomSource(31).child(case), _oracle(31, (case,))
         for op in _script(rnd, rnd.randrange(1, 40), RAW_RANGES + [None]):
             _draw_both(source, oracle, op)
         pending_at_hand_off.add(oracle.bit_generator.state["has_uint32"])
@@ -355,7 +353,7 @@ def test_numpy_draws_take_over_the_stream():
 
 @pytest.mark.parametrize("pending", [0, 1])
 def test_generator_vector_draws_after_scalar_draws(pending):
-    source, oracle = RandomSource(77, (2,)), _oracle(77, (2,))
+    source, oracle = RandomSource(77).child(2), _oracle(77, (2,))
     # range 7 rejects with probability 7 / 2^32, so 4 + pending 32-bit
     # draws leave a half word pending exactly when pending is 1
     for op in [(0, 7), None] * (4 + pending):
@@ -385,7 +383,7 @@ def test_drawn_source_survives_pickle():
 
 @pytest.mark.parametrize("build", [
     lambda: RandomSource(-1),
-    lambda: RandomSource(1, (2, -1)),
+    lambda: RandomSource(1).child(2).child(-1),
     lambda: RandomSource(1).child(-1),
 ])
 def test_random_source_rejects_negative_at_construction(build):
