@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -135,44 +136,28 @@ def _philox_key(state: _Pool) -> tuple[int, int]:
 
 
 @functools.cache
-def _key_sequence_type() -> type:
-    """The ``ISeedSequence`` that hands ``np.random.Philox`` a derived key.
+def _shared_philox():
+    """(Philox, its state dict, that dict's counter and key arrays).
 
-    Made on the first draw: subclassing it loads numpy.random, about 16 ms
-    and a few MB that a run which never draws, such as an exact law, does
-    not pay.
+    Every stream reads its words through this one bit generator: a refill
+    writes the stream's key and block index into the dict and assigns it.
+    The dict is private, so its ``buffer_pos`` stays 4, which makes the next
+    ``random_raw`` start a fresh block, and its ``has_uint32`` stays 0.
+    Made on the first draw: building it loads numpy.random, about 16 ms and
+    a few MB that a run which never draws, such as an exact law, does not
+    pay.
     """
-
-    class PhiloxKey(np.random.bit_generator.ISeedSequence):
-        # Philox asks its seed sequence for exactly generate_state(2, uint64);
-        # any other request means numpy changed how it seeds Philox, and is
-        # refused rather than answered with a different stream
-        __slots__ = ("key",)
-
-        def __init__(self, key: tuple[int, int]):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError(
-                    f"a Philox key serves only generate_state(2, uint64), "
-                    f"got generate_state({n_words}, {np.dtype(dtype)})"
-                )
-            return np.array(self.key, dtype=np.uint64)
-
-        def __reduce__(self):
-            return _key_sequence, (self.key,)
-
-    return PhiloxKey
-
-
-def _key_sequence(key: tuple[int, int]):
-    """A seed sequence whose only state is the Philox key ``key``."""
-    return _key_sequence_type()(key)
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    return bitgen, state, state["state"]["counter"], state["state"]["key"]
 
 
 #: numpy's ``next_double``: the top 53 bits of a raw word times 2^-53
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0
+
+#: blocks of four words per refill: the first holds 2, and later ones as
+#: many as were read before, up to this cap
+_MAX_BATCH_BLOCKS = 256
 
 
 class RandomSource:
@@ -187,28 +172,36 @@ class RandomSource:
     ``SeedSequence(entropy=seed, spawn_key=path).generate_state(2, uint64)``,
     but the key is derived here: each source caches its seed-sequence pool,
     and a child's pool is its parent's plus one absorbed index, so a child
-    pays for its own index only.  The Philox bit generator is built on the
-    first draw, and a source that only spawns children, and is never drawn
-    from, costs nothing.  ``child`` keeps a reference to its parent.
-    Negative seeds and child indices are rejected here, not at first draw.
+    pays for its own index only.  A source that only spawns children, and
+    is never drawn from, costs nothing.  ``child`` keeps a reference to its
+    parent.  Seeds and child indices must be non-negative integers, as
+    ``SeedSequence`` requires; they are checked here, not at first draw.
 
     Scalar draws are computed here from raw Philox words with numpy's own
     arithmetic, so they equal ``Generator.random()`` and
     ``Generator.integers(low, high)`` without numpy's per-call dispatch.
+    The words come in batches from one Philox shared by every source of
+    the process, re-keyed and set to the stream's block index for each
+    batch, so no stream builds a bit generator of its own until
+    :attr:`generator` is asked for.  The shared Philox is per-process state
+    and not thread-safe; worker processes are safe, since each refill
+    writes its full state.
     """
 
-    __slots__ = ("seed", "_parent", "_index", "_pool", "_bitgen", "_half",
-                 "_generator")
+    __slots__ = ("seed", "_parent", "_index", "_pool", "_key", "_block",
+                 "_words", "_half", "_generator")
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = operator.index(seed)
         if self.seed < 0:
             raise ValueError(f"seed and child indices must be non-negative, "
                              f"got seed={self.seed}")
         self._parent = None
         self._index = None
         self._pool = None
-        self._bitgen = None
+        self._key = None
+        self._block = 0
+        self._words = []
         self._half = None
         self._generator = None
 
@@ -231,31 +224,62 @@ class RandomSource:
             self._pool = state
         return state
 
-    def _bit_generator(self):
-        """The stream's Philox bit generator, built on first use."""
-        if self._bitgen is None:
-            key = _key_sequence(_philox_key(self._pool_state()))
-            self._bitgen = np.random.Philox(key)
-        return self._bitgen
+    def _stream_key(self) -> tuple[int, int]:
+        """The stream's two Philox key words, derived on first use."""
+        key = self._key
+        if key is None:
+            key = self._key = _philox_key(self._pool_state())
+        return key
+
+    def _refill(self) -> list[int]:
+        """Read the stream's next batch of words; returns them reversed.
+
+        Numpy's Philox increments its counter before it computes a block, so
+        a counter set to ``b`` makes the next block the stream's block ``b``,
+        counted from 0.  Only the counter's low word is written, which holds
+        while a stream reads fewer than 2^64 blocks.
+        """
+        bitgen, state, counter, key = _shared_philox()
+        block = self._block
+        blocks = min(max(block, 2), _MAX_BATCH_BLOCKS)
+        counter[0] = block
+        key[0], key[1] = self._stream_key()
+        bitgen.state = state
+        words = bitgen.random_raw(4 * blocks).tolist()
+        words.reverse()
+        self._block = block + blocks
+        self._words = words
+        return words
 
     @property
     def generator(self) -> np.random.Generator:
-        """The stream's numpy generator, built on first use over the same Philox."""
+        """The stream's numpy generator, built on first use at the stream's position.
+
+        Its Philox gets the stream's key and, if words were read, the
+        counter, buffer and ``buffer_pos`` numpy would have after as many
+        draws: the counter is set to the current block's, and the words
+        used of that block are read again.  A pending half word goes where
+        numpy's ``philox_next32`` looks first; ``random_raw`` never reads it.
+        """
         if self._generator is None:
-            bitgen = self._bit_generator()
-            if self._half is not None:
-                # numpy's philox_next32 returns a pending half before it
-                # draws a new word; put ours where it looks
+            bitgen = np.random.Philox(key=np.array(self._stream_key(), np.uint64))
+            if self._block:
+                pending = len(self._words)
+                used = -pending % 4 or 4
                 state = bitgen.state
-                state["has_uint32"], state["uinteger"] = 1, self._half
+                state["state"]["counter"][0] = self._block - (pending + used) // 4
+                if self._half is not None:
+                    state["has_uint32"], state["uinteger"] = 1, self._half
+                    self._half = None
                 bitgen.state = state
-                self._half = None
+                bitgen.random_raw(used)
+                self._words = []
             self._generator = np.random.Generator(bitgen)
         return self._generator
 
     def child(self, index: int) -> "RandomSource":
         """Deterministic sub-stream; independent of draws made from self."""
-        index = int(index)
+        index = operator.index(index)
         if index < 0:
             raise ValueError(
                 f"seed and child indices must be non-negative, "
@@ -266,20 +290,24 @@ class RandomSource:
         child._parent = self
         child._index = index
         child._pool = None
-        child._bitgen = None
+        child._key = None
+        child._block = 0
+        child._words = []
         child._half = None
         child._generator = None
         return child
 
     # scalar draws are the explorations' hot path: they read the slots, and
-    # call a method only to build the bit generator
+    # call a method only to refill the words
 
     def uniform(self) -> float:
         """One double in [0, 1), as numpy's ``next_double`` makes it."""
-        bitgen = self._bitgen
-        if bitgen is None:
-            bitgen = self._bit_generator()
-        return (bitgen.random_raw() >> 11) * _DOUBLE_UNIT
+        words = self._words
+        if not words:
+            if self._generator is not None:
+                return self._generator.random()
+            words = self._refill()
+        return (words.pop() >> 11) * _DOUBLE_UNIT
 
     def integer(self, low: int, high: int) -> int:
         """One integer in [low, high), as ``Generator.integers(low, high)``.
@@ -289,8 +317,8 @@ class RandomSource:
         threshold (2^32 - 1 - rng) % (rng + 1) for rng = high - 1 - low; one
         integer draws nothing, in numpy too.  Other ranges and argument
         types go to numpy, which raises for ``high <= low``, and so does
-        every draw once :attr:`generator`, which takes over a pending half,
-        was built.
+        every draw once :attr:`generator`, which takes over the stream's
+        position, was built.
         """
         span = high - low
         if type(span) is int and self._generator is None:
@@ -300,10 +328,8 @@ class RandomSource:
                     # half with its high half kept
                     half = self._half
                     if half is None:
-                        bitgen = self._bitgen
-                        if bitgen is None:
-                            bitgen = self._bit_generator()
-                        word = bitgen.random_raw()
+                        words = self._words
+                        word = words.pop() if words else self._refill().pop()
                         self._half = word >> 32
                         half = word & _MASK32
                     else:

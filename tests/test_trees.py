@@ -29,7 +29,7 @@ from cayley_greedy import (
     tree_count,
 )
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
-from cayley_greedy.trees import _key_sequence, format_trees, read_trees
+from cayley_greedy.trees import format_trees, read_trees
 from strategies import parent_tables
 
 
@@ -264,15 +264,6 @@ def test_child_of_a_keyed_source_reads_the_cached_pool():
     assert [a.uniform() for _ in range(5)] == [b.random() for _ in range(5)]
 
 
-@pytest.mark.parametrize("n_words, dtype", [(2, np.uint32), (4, np.uint32),
-                                             (1, np.uint64), (4, np.uint64)])
-def test_philox_key_refuses_other_state_requests(n_words, dtype):
-    key = _key_sequence((1, 2**64 - 1))
-    assert key.generate_state(2, np.uint64).tolist() == [1, 2**64 - 1]
-    with pytest.raises(ValueError, match="generate_state"):
-        key.generate_state(n_words, dtype)
-
-
 # ---------------------------------------------------------------------------
 # Scalar draws from raw Philox words; numpy's Generator is the oracle
 # ---------------------------------------------------------------------------
@@ -381,6 +372,97 @@ def test_drawn_source_survives_pickle():
     assert clone.child(1).integer(0, 10**9) == source.child(1).integer(0, 10**9)
 
 
+# ---------------------------------------------------------------------------
+# The shared bit generator: streams re-key it per batch of words
+# ---------------------------------------------------------------------------
+
+def test_interleaved_streams_each_equal_their_oracle():
+    # every refill re-keys the one shared Philox; drawing the streams in a
+    # random order shows that no refill disturbs another stream's words
+    rnd = random.Random(1616)
+    pairs = [(_source(seed, path), _oracle(seed, path))
+             for seed, path in [(0, ()), (5, (3,)), (5, (3, 0)), (2024, (1, 0)),
+                                (2**40 + 3, (123456,))]]
+    for _ in range(6000):
+        source, oracle = rnd.choice(pairs)
+        _draw_both(source, oracle, rnd.choice(RAW_RANGES + [None, None]))
+    for source, oracle in pairs:
+        assert (_philox_state(source.generator.bit_generator)
+                == _philox_state(oracle.bit_generator))
+
+
+def test_long_stream_reads_past_the_batch_cap():
+    # refills hold 2, 2, 4, 8, ... blocks, up to 256 blocks of four words;
+    # about 2600 words of uniforms and then integers read 513 to 768
+    # blocks, which an uncapped batch after the first 512 would overshoot
+    source, oracle = RandomSource(88).child(1), _oracle(88, (1,))
+    for _ in range(1500):
+        _draw_both(source, oracle, None)
+    for _ in range(2000):
+        _draw_both(source, oracle, (0, 10**9))
+    assert source._block == 512 + 256
+    assert (_philox_state(source.generator.bit_generator)
+            == _philox_state(oracle.bit_generator))
+    assert source.generator.random(9).tolist() == oracle.random(9).tolist()
+
+
+@pytest.mark.parametrize("words, pending", [
+    (words, pending) for words in range(21) for pending in (False, True)
+    if words or not pending])
+def test_generator_hand_off_after_any_number_of_words(words, pending):
+    # the hand-off rebuilds numpy's counter, buffer and buffer_pos from the
+    # stream's position, at every offset within a block and a batch; with a
+    # half pending, the last of the words was an integer draw
+    source, oracle = RandomSource(404).child(words), _oracle(404, (words,))
+    for _ in range(words - pending):
+        _draw_both(source, oracle, None)
+    if pending:
+        _draw_both(source, oracle, (0, 7))
+    assert oracle.bit_generator.state["has_uint32"] == pending
+    assert (_philox_state(source.generator.bit_generator)
+            == _philox_state(oracle.bit_generator))
+    gen = source.generator
+    assert gen.integers(0, 10, size=5).tolist() == oracle.integers(0, 10, size=5).tolist()
+    assert gen.random(7).tolist() == oracle.random(7).tolist()
+    for op in _script(random.Random(words), 50, RAW_RANGES + NUMPY_DRAWS + [None]):
+        _draw_both(source, oracle, op)
+
+
+def test_source_pickled_mid_batch():
+    # pickled with words of its batch still unread: the clone reads them
+    # first, then refills at the same block as the original
+    source, oracle = RandomSource(31).child(8), _oracle(31, (8,))
+    for _ in range(11):
+        _draw_both(source, oracle, None)
+    assert 0 < len(source._words) < 4 * source._block
+    clone = pickle.loads(pickle.dumps(source))
+    twin = pickle.loads(pickle.dumps(oracle))
+    for op in _script(random.Random(8), 400, RAW_RANGES + [None]):
+        _draw_both(clone, twin, op)
+        _draw_both(source, oracle, op)
+    assert (_philox_state(clone.generator.bit_generator)
+            == _philox_state(twin.bit_generator))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RandomSource(2.9),
+    lambda: RandomSource(5).child(1.7),
+    lambda: RandomSource(5).child(1.0),
+    lambda: RandomSource("3"),
+])
+def test_random_source_rejects_non_integers(build):
+    # int() would truncate 2.9 to 2 and alias another stream;
+    # SeedSequence raises TypeError for these too
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_random_source_takes_numpy_integers():
+    a = RandomSource(np.int64(5)).child(np.uint32(3))
+    assert type(a.seed) is int and a.path == (3,)
+    assert a.uniform() == _oracle(5, (3,)).random()
+
+
 @pytest.mark.parametrize("build", [
     lambda: RandomSource(-1),
     lambda: RandomSource(1).child(2).child(-1),
@@ -393,8 +475,10 @@ def test_random_source_rejects_negative_at_construction(build):
 
 def test_ab_exploration_builds_one_generator(monkeypatch):
     # built like the markov_peel workload: master.child(i), then
-    # .child(0); only the stream drawn from gets a bit generator, and
-    # scalar draws never build numpy's Generator
+    # .child(0); scalar draws read the one shared bit generator, which a
+    # draw made before counting has built, and never build numpy's
+    # Generator or a Philox of their own
+    RandomSource(0).uniform()
     built = {"Philox": [], "Generator": []}
     for name, original in [("Philox", np.random.Philox),
                            ("Generator", np.random.Generator)]:
@@ -406,11 +490,11 @@ def test_ab_exploration_builds_one_generator(monkeypatch):
     master = RandomSource(17)
     child = master.child(3)
     peel_markov(4, SmallestLabelRule(), child.child(0))
-    assert len(built["Philox"]) == 1
+    assert built["Philox"] == []
     peel_markov(6, UniformRule(master.child(4)), master.child(5))
     pitman_sample(20, master.child(6))
     first_repetition_time(20, master.child(7))
-    assert built["Generator"] == []
+    assert built == {"Philox": [], "Generator": []}
 
 
 # ---------------------------------------------------------------------------
