@@ -405,11 +405,13 @@ def test_bad_input_prints_no_traceback(tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded():
     # chi_square_uniform and ks_gaussian import scipy when called, not at
-    # start-up; numpy.random loads on a stream's first draw
+    # start-up; numpy.random loads on a stream's first draw, and the process
+    # pool only for a sweep with more than one worker
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, cayley_greedy.cli; "
-         "print([m for m in ('scipy', 'numpy.random') if m in sys.modules])"],
+         "print([m for m in ('scipy', 'numpy.random', 'concurrent.futures.process',"
+         " 'multiprocessing') if m in sys.modules])"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +105,32 @@ def test_chi_square_monotone_in_statistic():
         _, p = chi_square_uniform([100 + skew, 100 - skew])
         assert p <= previous + 1e-12
         previous = p
+
+
+@pytest.mark.parametrize("k", [2, 16, 343, 16807])
+def test_chi_square_pvalue_equals_scipy_stats(k):
+    # the p-value comes from scipy.special.chdtrc; scipy.stats.chi2.sf is
+    # its oracle and must give the same float
+    import scipy.stats
+
+    gen = np.random.default_rng(k)
+    vectors = [[5] * k, [5 + (i % 3) for i in range(k)],
+               [100] + [5] * (k - 1), (5 + gen.poisson(6, size=k)).tolist()]
+    for counts in vectors:
+        stat, p = chi_square_uniform(counts)
+        assert p == float(scipy.stats.chi2.sf(stat, k - 1))
+
+
+def test_chi_square_loads_scipy_special_only():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cayley_greedy.stats import chi_square_uniform; "
+         "chi_square_uniform([5] * 16); "
+         "print([m for m in ('scipy.special', 'scipy.stats') if m in sys.modules])"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.stdout.strip() == "['scipy.special']"
 
 
 def test_ks_gaussian_sane():
@@ -340,7 +369,9 @@ def test_tree_sweep_greedy_tree_loose():
     assert abs(report.observed - 0.5) < 0.02
 
 
-def test_tree_sweep_jobs_invariance():
+def test_tree_sweep_jobs_invariance(monkeypatch):
+    # four CPUs, so that jobs=3 runs the pool also on a one-CPU machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     serial = tree_sweep_experiment("matching", 60, 24, seed=26, jobs=1)
     parallel = tree_sweep_experiment("matching", 60, 24, seed=26, jobs=3)
     assert serial.observed == parallel.observed
