@@ -18,17 +18,12 @@ from .fluid import (
 from .greedy import (
     GreedyLaw,
     GreedyOutcome,
-    StatusCounts,
     VertexStatus,
-    chain_transitions,
     enumeration_law,
     exact_chain_law,
     greedy_matching,
     greedy_peeling,
-    greedy_reference,
     max_independent_set,
-    reference_chain_law,
-    root_last_probability,
     simulate_status_chain_many,
     verify_symmetry_exact,
 )
@@ -59,8 +54,6 @@ from .trees import (
     RandomSource,
     aldous_broder_sample,
     enumerate_all,
-    first_repetition_law,
-    first_repetition_time,
     pitman_sample,
     pitman_sample_rooted,
     prufer_decode,

@@ -154,6 +154,9 @@ def cmd_exact_law(args) -> int:
 
 
 def cmd_verify_symmetry(args) -> int:
+    if args.mc and args.cross_check:
+        raise ValueError("--cross-check does nothing with --mc: it compares "
+                         "the exact law with enumeration")
     if args.exact:
         check = greedy.verify_symmetry_exact(args.n, cross_check=args.cross_check)
         payload = {
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--mc", action="store_true")
     p.add_argument("--cross-check", action="store_true",
-                   help="also compare the exact law against full enumeration")
+                   help="with --exact, also compare the exact law against full enumeration")
     p.set_defaults(func=cmd_verify_symmetry)
 
     p = sub.add_parser("clt", help="Gaussian-limit verification reports")

@@ -1,15 +1,15 @@
-"""Greedy maximal independent sets on labeled trees, three equivalent ways.
+"""Greedy maximal independent sets on labeled trees, as a peeling and as a chain.
 
-* :func:`greedy_reference` -- the textbook sweep: inspect vertices in a
-  given order, activate undetermined ones, block their undetermined
-  neighbours.
+The textbook greedy sweep inspects the vertices in label order, activates
+each undetermined one and blocks its undetermined neighbours.  This module
+computes the same set in two ways:
+
 * the greedy peeling -- one walk (:func:`_greedy_walk`) that inspects the
   smallest undetermined label and touches only the inspected vertex and
   its parent.  The parent comes from one of two sources: a fixed tree
   (:func:`greedy_peeling`, :func:`greedy_exploration_steps`), on which the
-  walk constructs the same active set as the reference sweep under label
-  order; or the exploration's one-step law, which needs no tree
-  (:func:`greedy_markov_peeling`).
+  walk constructs the sweep's active set; or the exploration's one-step
+  law, which needs no tree (:func:`greedy_markov_peeling`).
 * the status chain -- on a uniform tree, the five counts (undetermined,
   active-white, blocked-white, active-blue, blocked-blue) form a Markov
   chain whose transitions close over the counts alone, so the law of the
@@ -20,6 +20,9 @@
   decreasing undetermined count and carries the stopping step packed in
   the slots of one integer.  Its transition rule is written once: column
   weights in :func:`chain_weights`, moves in :data:`CHAIN_DELTA`.
+
+The sweep itself, the five-count chain in rationals and the per-step count
+trace of a tree are test oracles, in ``tests/oracles.py``.
 
 Here *blue* means "in the component of the root n" exactly as in the
 peeling exploration; the root-last indicator records the event that at
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -59,16 +62,6 @@ class VertexStatus(IntEnum):
 _ACTIVE, _BLOCKED = int(VertexStatus.ACTIVE), int(VertexStatus.BLOCKED)
 
 
-class StatusCounts(NamedTuple):
-    """Vertex counts by status and color; always sums to n."""
-
-    undetermined: int
-    active_white: int
-    blocked_white: int
-    active_blue: int
-    blocked_blue: int
-
-
 @dataclass(frozen=True)
 class GreedyOutcome:
     """Result of one greedy run: set size, stopping step, root-last flag."""
@@ -79,35 +72,11 @@ class GreedyOutcome:
     active_set: frozenset[int] | None = None
 
 
-def greedy_reference(tree: CayleyTree, order: Sequence[int]) -> frozenset[int]:
-    """Maximal independent set built by inspecting vertices in ``order``.
-
-    An undetermined vertex becomes active and immediately blocks all of its
-    undetermined neighbours; determined vertices are skipped.
-    """
-    n = tree.n
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError("order must be a permutation of 1..n")
-    adj = tree.adjacency()
-    status = [VertexStatus.UNDETERMINED] * (n + 1)
-    active = []
-    for v in order:
-        if status[v] != VertexStatus.UNDETERMINED:
-            continue
-        status[v] = VertexStatus.ACTIVE
-        active.append(v)
-        for w in adj[v]:
-            if status[w] == VertexStatus.UNDETERMINED:
-                status[w] = VertexStatus.BLOCKED
-    return frozenset(active)
-
-
 def _greedy_walk(
     n: int,
     parent: Callable[[int], int],
     blue: list[bool],
     steps: list[PeelStep] | None = None,
-    counts: list[tuple[StatusCounts, StatusCounts]] | None = None,
 ) -> tuple[list[int], int, int]:
     """The greedy peeling, whatever supplies the parents.
 
@@ -122,13 +91,11 @@ def _greedy_walk(
     takes w's color.  Colors need no union-find: a white component of size
     >= 2 is rooted at a blocked vertex, which is never inspected again, so
     only the inspected vertex itself can turn blue.  ``steps`` collects a
-    PeelStep per non-root inspection and ``counts`` the (before, after)
-    :class:`StatusCounts` per inspection.  Returns (active vertices in
+    PeelStep per non-root inspection.  Returns (active vertices in
     activation order, inspections, root-last flag).
     """
     status = bytearray(n + 1)  # VertexStatus values
     active: list[int] = []
-    state = StatusCounts(n, 0, 0, 0, 0) if counts is not None else None
     undetermined = n
     inspections = 0
     root_last = 0
@@ -138,10 +105,10 @@ def _greedy_walk(
             ptr += 1
         v = ptr
         inspections += 1
-        paired = 0
         if v == n:
             root_last = 1
             status[v] = _ACTIVE
+            undetermined -= 1
         else:
             w = parent(v)
             if steps is not None:
@@ -149,42 +116,25 @@ def _greedy_walk(
             blue[v] = blue[w]
             if not status[w]:
                 status[w] = _BLOCKED
-                paired = w
+                undetermined -= 1
             status[v] = _BLOCKED if status[w] == _ACTIVE else _ACTIVE
+            undetermined -= 1
         if status[v] == _ACTIVE:
             active.append(v)
-        undetermined -= 2 if paired else 1
-        if counts is not None:
-            # a determined vertex counts in column status + 2 * blue
-            new = [undetermined, *state[1:]]
-            new[status[v] + 2 * blue[v]] += 1
-            if paired:
-                new[_BLOCKED + 2 * blue[paired]] += 1
-            after = StatusCounts(*new)
-            assert sum(after) == n, "status counts must always sum to n"
-            counts.append((state, after))
-            state = after
     return active, inspections, root_last
 
 
-def greedy_peeling(
-    tree: CayleyTree, trace: bool = False
-) -> GreedyOutcome | tuple[GreedyOutcome, list[tuple[StatusCounts, StatusCounts]]]:
+def greedy_peeling(tree: CayleyTree) -> GreedyOutcome:
     """Greedy construction as a peeling of the rooted tree (see :func:`_greedy_walk`).
 
-    The resulting active set equals ``greedy_reference(tree, 1..n)``.
-    With ``trace=True``, also returns the per-step (before, after) pairs of
-    :class:`StatusCounts`.
+    The resulting active set is the one the textbook sweep builds when it
+    inspects the vertices in label order.
     """
-    rows: list[tuple[StatusCounts, StatusCounts]] | None = [] if trace else None
-    active, steps, root_last = _greedy_walk(
-        tree.n, tree.parent_of, [False] * tree.n + [True], counts=rows
-    )
-    outcome = GreedyOutcome(
+    active, steps, root_last = _greedy_walk(tree.n, tree.parent_of, [False] * tree.n + [True])
+    return GreedyOutcome(
         size=len(active), steps=steps, root_last=root_last,
         active_set=frozenset(active),
     )
-    return (outcome, rows) if trace else outcome
 
 
 def greedy_exploration_steps(tree: CayleyTree):
@@ -286,37 +236,6 @@ def chain_weights(u, c):
     """
     pre = c == 0
     return u - 1 - pre, c + 1 + pre
-
-
-def chain_transitions(
-    state: StatusCounts, n: int
-) -> list[tuple[Fraction, StatusCounts]]:
-    """Exact one-step law of the status chain from ``state``.
-
-    Column weights come from :func:`chain_weights` and moves from
-    :data:`CHAIN_DELTA`; columns are listed in :class:`ChainColumn` order
-    and zero-probability ones are dropped.  Probabilities always sum to
-    exactly 1 (checked in rational arithmetic).
-    """
-    u, aw, bw, ab, bb = state
-    if u < 1:
-        raise ValueError("chain already absorbed")
-    c = ab + bb
-    if c and not (ab and bb):
-        raise ValueError("blue actives and blue blockeds appear together")
-    pair, blue = chain_weights(u, c)
-    assert pair + aw + bw + blue == n, "weights must sum to n"
-    k = max(c, 1)  # weights below are over n * k
-    if pair < 0:  # only the root is left, and it activates
-        weights = [0] * ChainColumn.ROOT_LAST + [n]
-    else:  # the blue column connects the root, or splits ab : bb after that
-        weights = [pair * k, aw * k, bw * k, blue * (c == 0), blue * ab, blue * bb, 0]
-    cols = [
-        (Fraction(w, n * k), StatusCounts(*(CHAIN_DELTA[:, col] + state).tolist()))
-        for col, w in zip(ChainColumn, weights)
-    ]
-    assert sum(p for p, _ in cols) == 1
-    return [(p, s) for p, s in cols if p]
 
 
 #: replicates per deterministic batch; a fixed block size keeps batched
@@ -654,35 +573,6 @@ def exact_chain_law(n: int) -> GreedyLaw:
     return GreedyLaw(n, joint)
 
 
-def reference_chain_law(n: int) -> GreedyLaw:
-    """Joint law from the full five-count chain, Fractions throughout.
-
-    Slow but direct: used to cross-check :func:`exact_chain_law`.
-    """
-    if n == 1:
-        return GreedyLaw(1, {(1, 1, 1): Fraction(1)})
-    dist: dict[StatusCounts, Fraction] = {StatusCounts(n, 0, 0, 0, 0): Fraction(1)}
-    joint: dict[tuple[int, int, int], Fraction] = defaultdict(Fraction)
-    step = 0
-    while dist:
-        step += 1
-        nxt: dict[StatusCounts, Fraction] = defaultdict(Fraction)
-        for state, p in dist.items():
-            root_last_here = (
-                state.active_blue == 0
-                and state.blocked_blue == 0
-                and state.undetermined == 1
-            )
-            for q, target in chain_transitions(state, n):
-                if target.undetermined == 0:
-                    g = target.active_white + target.active_blue
-                    joint[(g, step, int(root_last_here))] += p * q
-                else:
-                    nxt[target] += p * q
-        dist = dict(nxt)
-    return GreedyLaw(n, dict(joint))
-
-
 def enumeration_law(n: int) -> GreedyLaw:
     """Joint outcome law from exhaustive enumeration of all n^(n-2) trees.
 
@@ -733,58 +623,6 @@ def verify_symmetry_exact(n: int, cross_check: bool = False) -> SymmetryCheck:
             raise AssertionError(f"DP law disagrees with enumeration at n={n}")
     tv = total_variation_exact(law.size_law(), law.complement_law())
     return SymmetryCheck(n=n, tv=tv, root_last_probability=law.root_last_probability())
-
-
-def root_last_probability(n: int) -> Fraction:
-    """Exact probability that the root ends up as the last undetermined vertex.
-
-    For n >= 3 the value equals the survival expectation of the chain
-    conditioned on never connecting the root (checked exactly here): each
-    pre-connection step avoids the root with probability 1 - 2/n, and
-    conditioning renormalizes every such step by the same factor.  The
-    values converge to 1/4.
-    """
-    p = exact_chain_law(n).root_last_probability()
-    if n >= 3:
-        alt = _root_avoiding_survival(n)
-        if alt != p:
-            raise AssertionError(
-                f"conditioned-chain identity failed at n={n}: {p} != {alt}"
-            )
-    return p
-
-
-def _root_avoiding_survival(n: int) -> Fraction:
-    """E[(1 - 2/n)^(T - 1)] for the chain conditioned to never connect the root.
-
-    The conditioned chain lives on (undetermined, active-white) with the
-    white column weights of :func:`chain_weights` before the root connects,
-    (u-2), aw, bw, over the common denominator n - 2; with z = (n-2)/n the
-    step-i contribution collapses to weight / n^i.
-    """
-    if n < 3:
-        raise ValueError("conditioned chain needs n >= 3")
-    states: dict[tuple[int, int], int] = {(n, 0): 1}
-    acc = Fraction(0)
-    step = 0
-    while states:
-        step += 1
-        nxt: dict[tuple[int, int], int] = defaultdict(int)
-        for (u, aw), w in states.items():
-            bw = n - u - aw
-            pair_w, _ = chain_weights(u, 0)
-            if pair_w < 0:
-                # terminal root activation: T = step, contributes z^(T-1)
-                acc += Fraction(w, n ** (step - 1))
-                continue
-            if pair_w:
-                nxt[(u - 2, aw + 1)] += w * pair_w
-            if aw:
-                nxt[(u - 1, aw)] += w * aw
-            if bw:
-                nxt[(u - 1, aw + 1)] += w * bw
-        states = dict(nxt)
-    return acc
 
 
 # --------------------------------------------------------------------------

@@ -66,14 +66,8 @@ class ForestState:
 
     # -- queries ------------------------------------------------------------
 
-    def same_component(self, u: int, v: int) -> bool:
-        return self._rep[u] == self._rep[v]
-
     def is_blue(self, v: int) -> bool:
         return self._rep[v] == self._rep[self.n]
-
-    def component_size(self, v: int) -> int:
-        return self._size[self._rep[v]]
 
     def component_root(self, v: int) -> int:
         return self._root[self._rep[v]]
@@ -83,21 +77,11 @@ class ForestState:
         return self._size[self._rep[self.n]]
 
     @property
-    def component_count(self) -> int:
-        return self.n - self.edge_count
-
-    @property
     def white_root_count(self) -> int:
         return len(self._white_roots)
 
-    def white_roots(self) -> list[int]:
-        return sorted(self._white_roots)
-
     def white_root_at(self, index: int) -> int:
         return self._white_roots[index]
-
-    def is_white_root(self, v: int) -> bool:
-        return v in self._white_pos
 
     # -- mutation -----------------------------------------------------------
 

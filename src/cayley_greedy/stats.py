@@ -40,9 +40,6 @@ class EmpiricalDistribution:
         counts = Counter(int(s) for s in samples)
         return cls(counts=counts, total=sum(counts.values()))
 
-    def prob(self, value: int) -> float:
-        return self.counts.get(value, 0) / self.total
-
     def as_probs(self) -> dict[int, float]:
         return {k: v / self.total for k, v in self.counts.items()}
 
@@ -289,29 +286,25 @@ def symmetry_experiment_mc(
     n: int,
     replicates: int,
     seed: int = DEFAULT_SEED,
-    control: bool = False,
 ) -> ExperimentReport:
     """Two-sample check that law(G) matches law((n - G) + E).
 
-    Draws two independent replicate sets, compares the empirical law of the
-    set size from one against the empirical law of complement-plus-indicator
-    from the other, and calibrates the TV threshold by bootstrap resampling
-    of the pooled sample.  With ``control=True`` both sides use the set
-    size, which calibrates the null behaviour of the test itself.
+    Draws two independent replicate sets, from child streams 1 and 2,
+    compares the empirical law of the set size from one against the
+    empirical law of complement-plus-indicator from the other, and
+    calibrates the TV threshold by bootstrap resampling of the pooled
+    sample, from child stream 3.
     """
     rng = RandomSource(seed)
     sizes_a, _, _ = greedy.simulate_status_chain_many(n, replicates, rng.child(1))
     sizes_b, _, last_b = greedy.simulate_status_chain_many(n, replicates, rng.child(2))
-    side_a = sizes_a
-    side_b = sizes_b if control else (n - sizes_b) + last_b
-    counts_a = Counter(side_a.tolist())
-    counts_b = Counter(side_b.tolist())
+    counts_a = Counter(sizes_a.tolist())
+    counts_b = Counter(((n - sizes_b) + last_b).tolist())
     dist_a = EmpiricalDistribution(counts_a, replicates)
     tv = dist_a.tv_to(EmpiricalDistribution(counts_b, replicates).as_probs())
     threshold = _bootstrap_tv_threshold(counts_a, counts_b, rng.child(3))
-    name = "symmetry_tv_control" if control else "symmetry_tv"
     return ExperimentReport(
-        n=n, replicates=replicates, seed=seed, statistic=name,
+        n=n, replicates=replicates, seed=seed, statistic="symmetry_tv",
         observed=tv, target=0.0, tolerance=threshold, lower=0.0, upper=threshold,
     )
 
@@ -322,9 +315,7 @@ def _ratio_values(kind: str, n: int, seed: int, start: int, stop: int) -> list[f
     values = []
     for i in range(start, stop):
         child = master.child(i)
-        if kind == "greedy-tree":
-            value = greedy.greedy_peeling(sample_uniform(n, child)).size
-        elif kind == "matching":
+        if kind == "matching":
             tree = sample_uniform(n, child)
             order = child.generator.permutation(np.arange(1, n)).tolist()
             value = greedy.greedy_matching(tree, order)
@@ -350,14 +341,14 @@ def tree_sweep_experiment(
 ) -> ExperimentReport:
     """Mean of a per-tree statistic over uniformly sampled trees.
 
-    ``kind`` is one of ``matching`` (greedy matching density, limit 3/8),
-    ``max-is`` (maximum independent set density, limit ~0.5671 solving
-    x e^x = 1) or ``greedy-tree`` (greedy set density, limit 1/2).
+    ``kind`` is one of ``matching`` (greedy matching density, limit 3/8)
+    or ``max-is`` (maximum independent set density, limit ~0.5671 solving
+    x e^x = 1), the CLI commands of the same names.  Replicate i samples
+    its tree from child stream i.
     """
     targets = {
         "matching": (0.375, 0.005),
         "max-is": (0.5671, 0.005),
-        "greedy-tree": (0.5, 0.005),
     }
     if kind not in targets:
         raise ValueError(f"unknown sweep kind {kind!r}")
@@ -384,14 +375,3 @@ def tree_sweep_experiment(
         observed=float(np.mean(values)), target=target, tolerance=tol,
     )
 
-
-def greedy_ratio_experiment(
-    n: int, replicates: int, seed: int = DEFAULT_SEED
-) -> ExperimentReport:
-    """Mean greedy set density via the status chain (no trees built)."""
-    rng = RandomSource(seed)
-    sizes, _, _ = greedy.simulate_status_chain_many(n, replicates, rng)
-    return ExperimentReport(
-        n=n, replicates=replicates, seed=seed, statistic="greedy_density",
-        observed=float(sizes.mean() / n), target=0.5, tolerance=0.005,
-    )

@@ -13,7 +13,6 @@ import functools
 import itertools
 import operator
 import os
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -415,11 +414,6 @@ class CayleyTree:
             out[v].append(p)
         return out
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Directed edges (child, parent)."""
-        for v, p in enumerate(self.parents, start=1):
-            yield v, p
-
     def to_line(self) -> str:
         """Serialize as ``n;p(1),p(2),...,p(n-1)``."""
         return f"{self.n};{','.join(str(p) for p in self.parents)}"
@@ -665,32 +659,3 @@ def aldous_broder_sample(n: int, rng: RandomSource) -> CayleyTree:
             prev = x
     return CayleyTree._trusted(n, parents)
 
-
-def first_repetition_time(n: int, rng: RandomSource) -> int:
-    """First time the uniform walk started at n revisits an old vertex."""
-    if n < 2:
-        raise ValueError("need at least two vertices")
-    seen = bytearray(n + 1)
-    seen[n] = 1
-    t = 0
-    while True:
-        t += 1
-        x = rng.integer(1, n + 1)
-        if seen[x]:
-            return t
-        seen[x] = 1
-
-
-def first_repetition_law(n: int) -> dict[int, Fraction]:
-    """Exact law of :func:`first_repetition_time`.
-
-    P(T = k) = (k/n) * prod_{i=1}^{k-1} (1 - i/n) for 1 <= k <= n.
-    """
-    if n < 2:
-        raise ValueError("need at least two vertices")
-    law: dict[int, Fraction] = {}
-    prod = Fraction(1)
-    for k in range(1, n + 1):
-        law[k] = Fraction(k, n) * prod
-        prod *= Fraction(n - k, n)
-    return law

@@ -1,0 +1,229 @@
+"""Cross-check oracles: slow, direct formulations that the tests compare the
+library against.
+
+* :func:`greedy_reference` -- the textbook greedy sweep, against the
+  peeling walk of :func:`cayley_greedy.greedy.greedy_peeling`.
+* :class:`StatusCounts`, :func:`chain_transitions` and
+  :func:`reference_chain_law` -- the full five-count status chain in
+  rationals, against the packed DP :func:`cayley_greedy.exact_chain_law`;
+  :func:`status_count_trace` gives the same counts along one tree.
+* :func:`_root_avoiding_survival` -- P(root last) by the chain conditioned
+  never to connect the root.
+* :func:`first_repetition_time` and :func:`first_repetition_law` -- the
+  uniform walk's first revisit, whose law is the first-branch law shifted
+  by one.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from fractions import Fraction
+from typing import NamedTuple, Sequence
+
+from cayley_greedy.greedy import (
+    CHAIN_DELTA,
+    ChainColumn,
+    GreedyLaw,
+    VertexStatus,
+    chain_weights,
+    greedy_exploration_steps,
+)
+from cayley_greedy.trees import CayleyTree, RandomSource
+
+
+def greedy_reference(tree: CayleyTree, order: Sequence[int]) -> frozenset[int]:
+    """Maximal independent set built by inspecting vertices in ``order``.
+
+    An undetermined vertex becomes active and immediately blocks all of its
+    undetermined neighbours; determined vertices are skipped.
+    """
+    n = tree.n
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError("order must be a permutation of 1..n")
+    adj = tree.adjacency()
+    status = [VertexStatus.UNDETERMINED] * (n + 1)
+    active = []
+    for v in order:
+        if status[v] != VertexStatus.UNDETERMINED:
+            continue
+        status[v] = VertexStatus.ACTIVE
+        active.append(v)
+        for w in adj[v]:
+            if status[w] == VertexStatus.UNDETERMINED:
+                status[w] = VertexStatus.BLOCKED
+    return frozenset(active)
+
+
+# --------------------------------------------------------------------------
+# The five-count status chain
+# --------------------------------------------------------------------------
+
+class StatusCounts(NamedTuple):
+    """Vertex counts by status and color; always sums to n."""
+
+    undetermined: int
+    active_white: int
+    blocked_white: int
+    active_blue: int
+    blocked_blue: int
+
+
+def status_count_trace(tree: CayleyTree) -> list[tuple[StatusCounts, StatusCounts]]:
+    """(before, after) :class:`StatusCounts` per inspection of the greedy peeling.
+
+    Replays :func:`greedy_exploration_steps`: the peeled vertex v of each
+    step takes the color of its parent w, given by the step's recolored
+    flag; an undetermined w is blocked and v activated, else v gets the
+    status opposite to w's.  A root-last outcome adds a final row in which
+    the root, blue, activates.
+    """
+    n = tree.n
+    steps, outcome = greedy_exploration_steps(tree)
+    status = [VertexStatus.UNDETERMINED] * (n + 1)
+    counts = [n, 0, 0, 0, 0]
+    rows = []
+
+    def determine(v: int, to: VertexStatus, blue: bool) -> None:
+        status[v] = to
+        counts[0] -= 1
+        counts[to + 2 * blue] += 1  # active 1 or 3, blocked 2 or 4
+
+    for v, w, blue in steps:
+        before = StatusCounts(*counts)
+        if status[w] == VertexStatus.UNDETERMINED:
+            determine(w, VertexStatus.BLOCKED, blue)
+        active_parent = status[w] == VertexStatus.ACTIVE
+        determine(v, VertexStatus.BLOCKED if active_parent else VertexStatus.ACTIVE, blue)
+        rows.append((before, StatusCounts(*counts)))
+    if outcome.root_last:
+        before = StatusCounts(*counts)
+        determine(n, VertexStatus.ACTIVE, True)
+        rows.append((before, StatusCounts(*counts)))
+    return rows
+
+
+def chain_transitions(
+    state: StatusCounts, n: int
+) -> list[tuple[Fraction, StatusCounts]]:
+    """Exact one-step law of the status chain from ``state``.
+
+    Column weights come from :func:`chain_weights` and moves from
+    :data:`CHAIN_DELTA`; columns are listed in :class:`ChainColumn` order
+    and zero-probability ones are dropped.  Probabilities always sum to
+    exactly 1 (checked in rational arithmetic).
+    """
+    u, aw, bw, ab, bb = state
+    if u < 1:
+        raise ValueError("chain already absorbed")
+    c = ab + bb
+    if c and not (ab and bb):
+        raise ValueError("blue actives and blue blockeds appear together")
+    pair, blue = chain_weights(u, c)
+    assert pair + aw + bw + blue == n, "weights must sum to n"
+    k = max(c, 1)  # weights below are over n * k
+    if pair < 0:  # only the root is left, and it activates
+        weights = [0] * ChainColumn.ROOT_LAST + [n]
+    else:  # the blue column connects the root, or splits ab : bb after that
+        weights = [pair * k, aw * k, bw * k, blue * (c == 0), blue * ab, blue * bb, 0]
+    cols = [
+        (Fraction(w, n * k), StatusCounts(*(CHAIN_DELTA[:, col] + state).tolist()))
+        for col, w in zip(ChainColumn, weights)
+    ]
+    assert sum(p for p, _ in cols) == 1
+    return [(p, s) for p, s in cols if p]
+
+
+def reference_chain_law(n: int) -> GreedyLaw:
+    """Joint law from the full five-count chain, Fractions throughout.
+
+    Slow but direct: used to cross-check :func:`exact_chain_law`.
+    """
+    if n == 1:
+        return GreedyLaw(1, {(1, 1, 1): Fraction(1)})
+    dist: dict[StatusCounts, Fraction] = {StatusCounts(n, 0, 0, 0, 0): Fraction(1)}
+    joint: dict[tuple[int, int, int], Fraction] = defaultdict(Fraction)
+    step = 0
+    while dist:
+        step += 1
+        nxt: dict[StatusCounts, Fraction] = defaultdict(Fraction)
+        for state, p in dist.items():
+            root_last_here = (
+                state.active_blue == 0
+                and state.blocked_blue == 0
+                and state.undetermined == 1
+            )
+            for q, target in chain_transitions(state, n):
+                if target.undetermined == 0:
+                    g = target.active_white + target.active_blue
+                    joint[(g, step, int(root_last_here))] += p * q
+                else:
+                    nxt[target] += p * q
+        dist = dict(nxt)
+    return GreedyLaw(n, dict(joint))
+
+
+def _root_avoiding_survival(n: int) -> Fraction:
+    """E[(1 - 2/n)^(T - 1)] for the chain conditioned to never connect the root.
+
+    The conditioned chain lives on (undetermined, active-white) with the
+    white column weights of :func:`chain_weights` before the root connects,
+    (u-2), aw, bw, over the common denominator n - 2; with z = (n-2)/n the
+    step-i contribution collapses to weight / n^i.
+    """
+    if n < 3:
+        raise ValueError("conditioned chain needs n >= 3")
+    states: dict[tuple[int, int], int] = {(n, 0): 1}
+    acc = Fraction(0)
+    step = 0
+    while states:
+        step += 1
+        nxt: dict[tuple[int, int], int] = defaultdict(int)
+        for (u, aw), w in states.items():
+            bw = n - u - aw
+            pair_w, _ = chain_weights(u, 0)
+            if pair_w < 0:
+                # terminal root activation: T = step, contributes z^(T-1)
+                acc += Fraction(w, n ** (step - 1))
+                continue
+            if pair_w:
+                nxt[(u - 2, aw + 1)] += w * pair_w
+            if aw:
+                nxt[(u - 1, aw)] += w * aw
+            if bw:
+                nxt[(u - 1, aw + 1)] += w * bw
+        states = dict(nxt)
+    return acc
+
+
+# --------------------------------------------------------------------------
+# First repetition time of the uniform walk
+# --------------------------------------------------------------------------
+
+def first_repetition_time(n: int, rng: RandomSource) -> int:
+    """First time the uniform walk started at n revisits an old vertex."""
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    seen = bytearray(n + 1)
+    seen[n] = 1
+    t = 0
+    while True:
+        t += 1
+        x = rng.integer(1, n + 1)
+        if seen[x]:
+            return t
+        seen[x] = 1
+
+
+def first_repetition_law(n: int) -> dict[int, Fraction]:
+    """Exact law of :func:`first_repetition_time`.
+
+    P(T = k) = (k/n) * prod_{i=1}^{k-1} (1 - i/n) for 1 <= k <= n.
+    """
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    law: dict[int, Fraction] = {}
+    prod = Fraction(1)
+    for k in range(1, n + 1):
+        law[k] = Fraction(k, n) * prod
+        prod *= Fraction(n - k, n)
+    return law

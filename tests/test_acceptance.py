@@ -30,7 +30,6 @@ from cayley_greedy import (
     first_branch_law,
     first_branch_length,
     greedy_peeling,
-    greedy_reference,
     peel_markov,
     simulate_status_chain_many,
     tree_count,
@@ -41,9 +40,9 @@ from cayley_greedy.stats import (
     chi_square_uniform,
     clt_experiment,
     gaussian_lattice_distance,
-    greedy_ratio_experiment,
     tree_sweep_experiment,
 )
+from oracles import greedy_reference
 from test_fluid import quadrature_covariance
 
 SEED = 0x5EED
@@ -191,7 +190,7 @@ def test_criterion_6_containment_counts():
                 v = state.white_root_at(child.integer(0, state.white_root_count))
                 while True:
                     w = child.integer(1, n + 1)
-                    if not state.same_component(v, w):
+                    if state.component_root(v) != state.component_root(w):
                         break
                 state.attach(v, w)
                 edges.append((v, w))
@@ -247,9 +246,12 @@ def test_criterion_8_first_branch_law():
 def test_criterion_9_greedy_density():
     """Mean G/n at n = 10^4 over 10^3 replicates within 0.5 +/- 0.005,
     via the status-chain fast path."""
-    r = greedy_ratio_experiment(10_000, 1000, seed=SEED)
-    report(9, r.passed, f"mean greedy density {r.observed:.5f}")
-    assert r.passed
+    n = 10_000
+    sizes, _, _ = simulate_status_chain_many(n, 1000, RandomSource(SEED))
+    density = float(sizes.mean() / n)
+    passed = 0.5 - 0.005 <= density <= 0.5 + 0.005
+    report(9, passed, f"mean greedy density {density:.5f}")
+    assert passed
 
 
 def test_criterion_10_matching_density():

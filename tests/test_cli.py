@@ -349,6 +349,20 @@ def test_flags_that_do_nothing_are_rejected(argv, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_cross_check_with_mc_is_rejected(capsys):
+    # --cross-check compares the exact law with enumeration; the Monte Carlo
+    # check has nothing to cross-check
+    with pytest.raises(SystemExit) as err:
+        main(["verify-symmetry", "--mc", "--n", "10", "--replicates", "200",
+              "--cross-check"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "cayley-greedy: error: --cross-check does nothing with --mc: it compares "
+        "the exact law with enumeration"]
+
+
 def _bad_input_cases(tmp_path):
     """Case name -> (argv, environment variables set for the run)."""
     two = tmp_path / "two.txt"

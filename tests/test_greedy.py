@@ -16,18 +16,13 @@ from hypothesis import strategies as st
 from cayley_greedy import (
     CayleyTree,
     RandomSource,
-    StatusCounts,
-    chain_transitions,
     enumerate_all,
     enumeration_law,
     exact_chain_law,
     greedy_matching,
     greedy_peeling,
-    greedy_reference,
     max_independent_set,
     prufer_decode,
-    reference_chain_law,
-    root_last_probability,
     sample_uniform,
     simulate_status_chain_many,
     tree_count,
@@ -49,6 +44,14 @@ from cayley_greedy.greedy import (
 )
 from cayley_greedy.cli import main
 from cayley_greedy.stats import EmpiricalDistribution
+from oracles import (
+    StatusCounts,
+    _root_avoiding_survival,
+    chain_transitions,
+    greedy_reference,
+    reference_chain_law,
+    status_count_trace,
+)
 from strategies import parent_tables
 
 CENTER_1 = CayleyTree(3, (3, 1))  # path 2-1-3, center 1, rooted at 3
@@ -149,7 +152,8 @@ def test_peeling_equals_reference_exhaustive(n):
 def test_peeling_trace_conserves_total():
     rng = RandomSource(99)
     t = sample_uniform(40, rng)
-    out, rows = greedy_peeling(t, trace=True)
+    out = greedy_peeling(t)
+    rows = status_count_trace(t)
     n = t.n
     for before, after in rows:
         assert sum(before) == n and sum(after) == n
@@ -158,6 +162,20 @@ def test_peeling_trace_conserves_total():
         assert all(a >= b for a, b in zip(after[1:], before[1:]))
     assert rows[-1][1].undetermined == 0
     assert out.size == rows[-1][1].active_white + rows[-1][1].active_blue
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_count_trace_ends_at_outcome(n):
+    # the last row holds the set size, the row count is the stopping step,
+    # and the root is last when it is the one undetermined white vertex
+    for t in enumerate_all(n):
+        rows = status_count_trace(t)
+        before, after = rows[-1]
+        root_last = before.undetermined == 1 and before.active_blue + before.blocked_blue == 0
+        out = greedy_peeling(t)
+        assert after.undetermined == 0
+        assert (after.active_white + after.active_blue, len(rows), int(root_last)) == \
+            (out.size, out.steps, out.root_last)
 
 
 def test_exploration_steps_match_outcome():
@@ -201,8 +219,7 @@ def test_chain_increments_match_trees_exactly(n):
     one-step law of the status chain, state by state."""
     grouped = defaultdict(Counter)
     for t in enumerate_all(n):
-        _, rows = greedy_peeling(t, trace=True)
-        for before, after in rows:
+        for before, after in status_count_trace(t):
             grouped[before][after] += 1
     for state, counter in grouped.items():
         total = sum(counter.values())
@@ -734,17 +751,17 @@ def test_symmetry_exact_small():
 
 
 def test_root_last_probability_values():
-    assert root_last_probability(2) == 0
-    assert root_last_probability(3) == Fraction(1, 3)
-    assert root_last_probability(4) == Fraction(1, 4)
-    assert root_last_probability(5) == Fraction(33, 125)
+    values = [exact_chain_law(n).root_last_probability() for n in (2, 3, 4, 5)]
+    assert values == [0, Fraction(1, 3), Fraction(1, 4), Fraction(33, 125)]
 
 
 def test_root_last_conditioned_identity_runs():
-    # the internal exact identity (conditioned-chain survival expectation)
-    # is asserted inside the call for every n >= 3
+    # P(root last) is the survival expectation of the chain conditioned
+    # never to connect the root: each pre-connection step avoids the root
+    # with probability 1 - 2/n, and conditioning renormalizes every such
+    # step by the same factor
     for n in range(3, 26):
-        root_last_probability(n)
+        assert _root_avoiding_survival(n) == exact_chain_law(n).root_last_probability()
 
 
 def test_survival_expectation_coincides_at_n3():
@@ -753,7 +770,7 @@ def test_survival_expectation_coincides_at_n3():
     law = exact_chain_law(3)
     z = Fraction(1, 3)
     naive = sum(p * z ** (t - 1) for t, p in law.steps_law().items())
-    assert naive == root_last_probability(3) == Fraction(1, 3)
+    assert naive == law.root_last_probability() == Fraction(1, 3)
 
 
 def test_law_moments_match_enumeration_n6():
@@ -832,7 +849,7 @@ def test_matching_is_maximal_random():
 def _max_is_brute(tree):
     n = tree.n
     best = 0
-    edges = list(tree.edges())
+    edges = list(enumerate(tree.parents, start=1))
     for mask in range(1 << n):
         chosen = {v for v in range(1, n + 1) if mask & (1 << (v - 1))}
         if all(not (a in chosen and b in chosen) for a, b in edges):
@@ -844,7 +861,7 @@ def _max_is_dp(tree):
     """Two-state tree DP (best set with / without v in v's subtree)."""
     n = tree.n
     children = [[] for _ in range(n + 1)]
-    for v, p in tree.edges():
+    for v, p in enumerate(tree.parents, start=1):
         children[p].append(v)
     order = [n]  # breadth first, so children follow their parent
     for v in order:

@@ -1,0 +1,94 @@
+"""Layout guard: the library keeps only code that something runs.
+
+Every top-level function and class in ``src/cayley_greedy``, and every
+method that is not a dunder, must be named in ``src/`` outside its own body,
+or in ``perfbench/`` outside ``perfbench/tests``: by the CLI, the benchmark
+or another library function.  Re-exports in ``__init__.py`` and the tests do
+not count; code that only tests call belongs in ``tests/oracles.py``.
+
+A name counts as used where it appears as a variable, an attribute, an
+imported name or a whole string constant (the benchmark's tracer names the
+functions it wraps by string).  The scan goes by name alone, so a method
+shares its uses with every other name spelled the same way.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted(p for p in (ROOT / "src" / "cayley_greedy").glob("*.py")
+                 if p.name != "__init__.py")
+BENCHMARK = sorted(p for p in (ROOT / "perfbench").rglob("*.py")
+                   if "tests" not in p.relative_to(ROOT / "perfbench").parts)
+
+#: library code that nothing runs but that stays, with the reason
+KEEP = {
+    "peeling.count_containing_trees": "paper object: the containment lemma",
+    "peeling.first_branch_law": "paper object: the first-branch length law",
+    "trees.prufer_encode": "the inverse of the Pruefer bijection",
+    "fluid.drift": "the fluid ODE",
+    "fluid.flow_matrix": "the ODE's linearization",
+    "fluid.local_covariance": "the ODE's linearization",
+    "stats.total_variation": "the exact (G, E) law and its float twin will call it",
+    "stats.gaussian_lattice_distance": "the exact (G, E) law and its float twin "
+                                       "will call it",
+    "greedy.GreedyLaw.size_mean": "part of the law's API",
+    "greedy.GreedyLaw.steps_mean": "part of the law's API",
+    "cli._Parser.error": "an argparse override",
+}
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often each name is used in ``tree``."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def _definitions(path: Path, module: ast.Module):
+    """(qualified name, node) of each top-level function and class of a
+    library module and of each method that is not a dunder."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in module.body:
+        if not isinstance(node, defs):
+            continue
+        yield f"{path.stem}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{path.stem}.{node.name}.{item.name}", item
+
+
+def _parsed() -> dict[Path, ast.Module]:
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in LIBRARY + BENCHMARK}
+
+
+def test_library_code_has_a_caller():
+    modules = _parsed()
+    used = sum((_names(m) for m in modules.values()), Counter())
+    unused = []
+    for path in LIBRARY:
+        for qualname, node in _definitions(path, modules[path]):
+            name = qualname.rpartition(".")[2]
+            if used[name] - _names(node)[name] <= 0 and qualname not in KEEP:
+                unused.append(qualname)
+    assert unused == [], (
+        f"no caller in src/ or perfbench/: {', '.join(unused)}; move to "
+        "tests/oracles.py, delete, or add to KEEP with a reason")
+
+
+def test_keep_list_names_library_code():
+    modules = _parsed()
+    defined = {q for p in LIBRARY for q, _ in _definitions(p, modules[p])}
+    assert sorted(set(KEEP) - defined) == []
+    assert all(reason for reason in KEEP.values())

@@ -16,7 +16,6 @@ from cayley_greedy import (
     enumerate_all,
     first_branch_law,
     first_branch_length,
-    first_repetition_law,
     peel_fixed_tree,
     peel_markov,
     prufer_decode,
@@ -27,6 +26,7 @@ from cayley_greedy.cli import main
 from cayley_greedy.peeling import PeelStep, _check_transition_weights, format_steps_csv
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
 from cayley_greedy.trees import format_trees
+from oracles import first_repetition_law
 
 PATH_2_1_3 = CayleyTree(3, (3, 1))  # edges 2-1 and 1-3, rooted at 3
 
@@ -121,7 +121,7 @@ def test_count_matches_brute_force_random_forests(n):
             v = state.white_root_at(rng.integer(0, state.white_root_count))
             while True:
                 w = rng.integer(1, n + 1)
-                if not state.same_component(v, w):
+                if state.component_root(v) != state.component_root(w):
                     break
             state.attach(v, w)
             edges.append((v, w))
@@ -139,7 +139,12 @@ def test_peel_fixed_tree_reaches_full_blue_tree():
         for rule in (SmallestLabelRule(), UniformRule(rng.child(100 + i))):
             steps = peel_fixed_tree(t, rule)
             # the peeled edges are exactly the tree's edges, whatever the rule
-            assert sorted((s.peeled, s.parent) for s in steps) == sorted(t.edges())
+            assert sorted((s.peeled, s.parent) for s in steps) == sorted(
+                zip(range(1, n), t.parents))
+
+
+def _white_roots(state):
+    return sorted(state.white_root_at(i) for i in range(state.white_root_count))
 
 
 def test_forest_invariants_during_exploration():
@@ -148,15 +153,14 @@ def test_forest_invariants_during_exploration():
     t = sample_uniform(n, rng)
     state = ForestState(n)
     rule = SmallestLabelRule()
-    assert state.component_count == n
-    assert state.white_roots() == list(range(1, n))
+    assert n - state.edge_count == n
+    assert _white_roots(state) == list(range(1, n))
     for k in range(1, n):
         v = rule.select(state)
-        assert state.is_white_root(v)
+        assert v in _white_roots(state)
         state.attach(v, t.parent_of(v))
-        assert state.component_count == n - k
-        assert not state.is_white_root(v)
-        assert len(state.white_roots()) == state.white_root_count
+        assert n - state.edge_count == n - k
+        assert v not in _white_roots(state)
     assert state.white_root_count == 0
 
 
@@ -198,12 +202,14 @@ def test_exploration_transition_law_exact(n):
             v = rule.select(state)
             key = tuple(sorted(edges))
             if key not in meta:
+                # v is a white root, so its component is what v roots
+                comp_v = frozenset(w for w in range(1, n + 1)
+                                   if state.component_root(w) == v)
                 meta[key] = (
                     state.blue_size,
-                    state.component_size(v),
+                    len(comp_v),
                     frozenset(w for w in range(1, n + 1) if state.is_blue(w)),
-                    frozenset(w for w in range(1, n + 1)
-                              if state.same_component(w, v)),
+                    comp_v,
                     count_containing_trees(state),
                     v,
                 )
@@ -256,7 +262,8 @@ def test_peel_markov_step_count_and_structure():
     rng = RandomSource(5150)
     steps, tree = peel_markov(25, UniformRule(rng.child(1)), rng.child(0))
     assert len(steps) == 24
-    assert sorted((s.peeled, s.parent) for s in steps) == sorted(tree.edges())
+    assert sorted((s.peeled, s.parent) for s in steps) == sorted(
+        zip(range(1, 25), tree.parents))
 
 
 # ---------------------------------------------------------------------------

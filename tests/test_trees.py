@@ -18,8 +18,6 @@ from cayley_greedy import (
     UniformRule,
     aldous_broder_sample,
     enumerate_all,
-    first_repetition_law,
-    first_repetition_time,
     peel_markov,
     pitman_sample,
     pitman_sample_rooted,
@@ -30,6 +28,7 @@ from cayley_greedy import (
 )
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
 from cayley_greedy.trees import format_trees, read_trees
+from oracles import first_repetition_law, first_repetition_time
 from strategies import parent_tables
 
 
