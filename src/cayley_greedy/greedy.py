@@ -9,7 +9,10 @@ computes the same set in two ways:
   its parent.  The parent comes from one of two sources: a fixed tree
   (:func:`greedy_peeling`, :func:`greedy_exploration_steps`), on which the
   walk constructs the sweep's active set; or the exploration's one-step
-  law, which needs no tree (:func:`greedy_markov_peeling`).
+  law, which needs no tree (:func:`greedy_markov_peeling`).  Its batched
+  form, :func:`enumeration_law`, walks every tree of a batch at once, and
+  both read the inspected vertex's new status from :data:`_V_AFTER`, so
+  the inspection rule is written once.
 * the status chain -- on a uniform tree, the five counts (undetermined,
   active-white, blocked-white, active-blue, blocked-blue) form a Markov
   chain whose transitions close over the counts alone, so the law of the
@@ -45,7 +48,7 @@ import numpy as np
 
 from .peeling import PeelStep
 from .trees import (
-    CayleyTree, RandomSource, _cap, enumerate_all, tree_count,
+    CayleyTree, RandomSource, _cap, _parent_batches, tree_count,
 )
 
 #: largest size accepted by exact_chain_law unless CAYLEY_GREEDY_CAP overrides it
@@ -60,6 +63,10 @@ class VertexStatus(IntEnum):
 
 #: VertexStatus values as plain ints, for the status bytearray of _greedy_walk
 _ACTIVE, _BLOCKED = int(VertexStatus.ACTIVE), int(VertexStatus.BLOCKED)
+
+#: the inspected vertex's new status, indexed by its parent's status before
+#: the step: undetermined or blocked, v becomes active; active, v is blocked
+_V_AFTER = bytes((_ACTIVE, _BLOCKED, _ACTIVE))
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,7 @@ def _greedy_walk(
     * w undetermined: v becomes active, w becomes blocked.
     * w blocked: v becomes active.  w active: v becomes blocked.
 
+    v's new status is ``_V_AFTER`` of w's status before the step.
     ``blue`` is the color table (only ``blue[n]`` set at the start); v
     takes w's color.  Colors need no union-find: a white component of size
     >= 2 is rooted at a blocked vertex, which is never inspected again, so
@@ -114,10 +122,11 @@ def _greedy_walk(
             if steps is not None:
                 steps.append(PeelStep(peeled=v, parent=w, recolored_to_blue=blue[w]))
             blue[v] = blue[w]
-            if not status[w]:
+            before = status[w]
+            if not before:
                 status[w] = _BLOCKED
                 undetermined -= 1
-            status[v] = _BLOCKED if status[w] == _ACTIVE else _ACTIVE
+            status[v] = _V_AFTER[before]
             undetermined -= 1
         if status[v] == _ACTIVE:
             active.append(v)
@@ -576,15 +585,43 @@ def exact_chain_law(n: int) -> GreedyLaw:
 def enumeration_law(n: int) -> GreedyLaw:
     """Joint outcome law from exhaustive enumeration of all n^(n-2) trees.
 
-    Each tree's outcome is tallied straight from :func:`_greedy_walk`, the
-    walk behind :func:`greedy_peeling`.
+    The walk of :func:`_greedy_walk` runs on each batch of parent tables
+    from ``trees._parent_batches``, all rows at once, column by column for
+    v = 1..n.  When v's column comes up every smaller label is already
+    determined, so an undetermined parent has a larger label and the
+    inspected vertices are exactly those still undetermined then.  An
+    inspected v takes ``_V_AFTER`` of its parent's status and an
+    undetermined parent is blocked.  The root's column gives the root-last
+    flag; the (size, steps, root_last) triples are tallied with
+    ``bincount``.  Refuses the n that :func:`enumerate_all` refuses.
     """
-    counter: dict[tuple[int, int, int], int] = defaultdict(int)
-    for tree in enumerate_all(n):
-        active, steps, root_last = _greedy_walk(n, tree.parent_of, [False] * n + [True])
-        counter[(len(active), steps, root_last)] += 1
+    v_after = np.frombuffer(_V_AFTER, dtype=np.uint8)
+    counts = np.zeros((n + 1) * (n + 1) * 2, dtype=np.int64)  # by (g, theta, e)
+    for parents in _parent_batches(n):
+        rows = len(parents)
+        status = np.zeros((rows, n + 1), dtype=np.uint8)  # by label, column 0 unused
+        flat = status.reshape(-1)
+        offsets = np.arange(0, rows * (n + 1), n + 1)
+        steps = np.zeros(rows, dtype=np.int64)
+        for v in range(1, n):
+            inspected = status[:, v] == 0
+            w = offsets + parents[:, v - 1]
+            before = flat[w]
+            flat[w] = np.where(inspected & (before == 0), _BLOCKED, before)
+            status[:, v] = np.where(inspected, v_after[before], status[:, v])
+            steps += inspected
+        root_last = status[:, n] == 0
+        status[root_last, n] = _ACTIVE
+        sizes = np.count_nonzero(status == _ACTIVE, axis=1)
+        counts += np.bincount(
+            (sizes * (n + 1) + steps + root_last) * 2 + root_last,
+            minlength=counts.size)
     total = tree_count(n)
-    return GreedyLaw(n, {k: Fraction(v, total) for k, v in counter.items()})
+    table = counts.reshape(n + 1, n + 1, 2)
+    return GreedyLaw(n, {
+        key: Fraction(table[key].item(), total)
+        for key in zip(*(axis.tolist() for axis in np.nonzero(table)))
+    })
 
 
 def total_variation_exact(

@@ -538,22 +538,72 @@ def sample_uniform(n: int, rng: RandomSource) -> CayleyTree:
     return prufer_decode(symbols.tolist(), n)
 
 
-def enumerate_all(n: int) -> Iterator[CayleyTree]:
-    """Every tree on {1..n} exactly once (n^(n-2) of them), via Pruefer sequences.
+#: trees decoded per batch by :func:`_parent_batches`: the trailing k symbols
+#: of the sequence run over a grid of n^k rows, the largest that fits here
+_BATCH_TREES = 4096
 
-    Refuses n above the cap; override with the CAYLEY_GREEDY_CAP environment
-    variable.
+
+def _parent_batches(n: int) -> Iterator[np.ndarray]:
+    """Parent tables of every tree on {1..n}, a batch of rows at a time.
+
+    Row ``i`` of a batch is the ``(n - 1,)`` parent table of
+    :func:`prufer_decode`, and rows come in ``itertools.product`` order
+    of the sequences.  For n >= 3 each batch fixes one prefix of the
+    leading symbols, drawn from ``itertools.product``, and runs the
+    trailing k symbols over a grid of n^k <= ``_BATCH_TREES`` rows, so no
+    fixed-width int ever holds n^(n-2).  The decode takes n - 2 steps,
+    each removing the smallest degree-1 vertex of every row at once; as
+    in :func:`prufer_decode`, n is never removed, so the last vertex left
+    beside it gets parent n.  Checks the cap and n >= 1 on first use.
     """
     limit = _cap(DEFAULT_ENUMERATION_CAP)
     if n > limit:
         raise ValueError(f"n={n} above the enumeration cap {limit}")
     if n < 1:
         raise ValueError("need at least one vertex")
+    dtype = np.min_scalar_type(n)
     if n <= 2:
-        yield prufer_decode([], n)
+        yield np.full((1, n - 1), n, dtype)
         return
-    for symbols in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield prufer_decode(symbols, n)
+    m = n - 2
+    k = 0
+    while k < m and n ** (k + 1) <= _BATCH_TREES:
+        k += 1
+    lead = m - k
+    # the trailing grid in product order, its last symbol running fastest
+    grid = np.arange(n ** k)[:, None] // n ** np.arange(k - 1, -1, -1) % n + 1
+    rows = np.arange(len(grid))
+    symbols = np.empty((len(grid), m), dtype)
+    symbols[:, lead:] = grid
+    # degrees by label, column 0 unused: 1 plus the grid's occurrences
+    grid_degree = np.ones((len(grid), n + 1), dtype)
+    grid_degree[:, 0] = 0
+    for column in grid.T:
+        grid_degree[rows, column] += 1
+    for prefix in itertools.product(range(1, n + 1), repeat=lead):
+        symbols[:, :lead] = prefix
+        degree = grid_degree + np.bincount(prefix, minlength=n + 1).astype(dtype)
+        parents = np.empty((len(grid), n + 1), dtype)  # by label
+        for s in symbols.T:
+            leaf = (degree == 1).argmax(axis=1)
+            parents[rows, leaf] = s
+            degree[rows, leaf] = 0
+            degree[rows, s] -= 1
+        parents[rows, (degree == 1).argmax(axis=1)] = n
+        yield parents[:, 1:n]
+
+
+def enumerate_all(n: int) -> Iterator[CayleyTree]:
+    """Every tree on {1..n} exactly once (n^(n-2) of them), in the
+    ``itertools.product`` order of their Pruefer sequences.
+
+    The trees are decoded a batch at a time by :func:`_parent_batches`.
+    Refuses n above the cap; override with the CAYLEY_GREEDY_CAP
+    environment variable.
+    """
+    for parents in _parent_batches(n):
+        for row in parents.tolist():
+            yield CayleyTree._trusted(n, row)
 
 
 def tree_count(n: int) -> int:

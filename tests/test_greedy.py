@@ -593,6 +593,17 @@ def test_exact_law_peak_memory():
     assert peak < 3 * 2**20
 
 
+def test_enumeration_law_peak_memory():
+    # one batch of at most 4096 parent tables is live at a time
+    tracemalloc.start()
+    try:
+        enumeration_law(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 #: SHA-256 of the sorted-key JSON of law_to_json_dict(exact_chain_law(n)),
 #: captured from the tuple-keyed DP that assembled the law in Fractions
 #: (n = 25, 60), and from GreedyLaw's Fraction-sum marginals (n = 40)
@@ -624,7 +635,7 @@ def test_enumeration_law_golden_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_LAW_7_SHA256
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_enumeration_law_equals_peeling_tally(n):
     tally = Counter()
     for t in enumerate_all(n):
@@ -738,9 +749,16 @@ def test_cap_env_var_read_the_same_by_dp_and_enumeration(value, monkeypatch):
     with pytest.raises(ValueError):
         next(iter(enumerate_all(n)))
     with pytest.raises(ValueError):
+        enumeration_law(n)
+    with pytest.raises(ValueError):
         exact_chain_law(n)
     monkeypatch.setenv("CAYLEY_GREEDY_CAP", str(n))
     assert exact_chain_law(n).n == n
+    assert enumeration_law(n).n == n
+    with pytest.raises(ValueError):
+        next(iter(enumerate_all(0)))
+    with pytest.raises(ValueError):
+        enumeration_law(0)
 
 
 def test_symmetry_exact_small():

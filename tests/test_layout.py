@@ -9,7 +9,9 @@ not count; code that only tests call belongs in ``tests/oracles.py``.
 A name counts as used where it appears as a variable, an attribute, an
 imported name or a whole string constant (the benchmark's tracer names the
 functions it wraps by string).  The scan goes by name alone, so a method
-shares its uses with every other name spelled the same way.
+shares its uses with every other name spelled the same way.  It repeats
+until nothing changes, each pass leaving out the uses inside definitions
+already found unused, so code whose only callers are unused is caught too.
 """
 
 import ast
@@ -73,15 +75,46 @@ def _parsed() -> dict[Path, ast.Module]:
     return {p: ast.parse(p.read_text(encoding="utf-8")) for p in LIBRARY + BENCHMARK}
 
 
+def _unused(modules: dict[Path, ast.Module], library: list[Path]) -> list[str]:
+    """Definitions of ``library`` outside KEEP with no caller in ``modules``.
+
+    A definition is unused when its name appears nowhere outside its own
+    body.  Each pass leaves out the names used inside the definitions found
+    so far, a method's with its class's, and the scan stops at the first
+    pass that finds nothing new.
+    """
+    total = sum((_names(m) for m in modules.values()), Counter())
+    defs = [(q, node) for p in library for q, node in _definitions(p, modules[p])
+            if q not in KEEP]
+    unused: list[str] = []
+    while True:
+        used = total.copy()
+        for qualname, node in defs:
+            if qualname in unused and qualname.rpartition(".")[0] not in unused:
+                used.subtract(_names(node))
+        found = []
+        for qualname, node in defs:
+            owner, _, name = qualname.rpartition(".")
+            if (qualname not in unused and owner not in unused
+                    and used[name] - _names(node)[name] <= 0):
+                found.append(qualname)
+        if not found:
+            return unused
+        unused += found
+
+
+def test_unused_scan_follows_unused_callers():
+    # b's only caller is a, which nothing calls: the first pass finds a,
+    # the second b
+    path = Path("synthetic.py")
+    module = ast.parse("def a():\n    return b()\n\n\ndef b():\n    return 1\n")
+    assert _unused({path: module}, [path]) == ["synthetic.a", "synthetic.b"]
+    caller = ast.parse("a()\n")
+    assert _unused({path: module, Path("caller.py"): caller}, [path]) == []
+
+
 def test_library_code_has_a_caller():
-    modules = _parsed()
-    used = sum((_names(m) for m in modules.values()), Counter())
-    unused = []
-    for path in LIBRARY:
-        for qualname, node in _definitions(path, modules[path]):
-            name = qualname.rpartition(".")[2]
-            if used[name] - _names(node)[name] <= 0 and qualname not in KEEP:
-                unused.append(qualname)
+    unused = _unused(_parsed(), LIBRARY)
     assert unused == [], (
         f"no caller in src/ or perfbench/: {', '.join(unused)}; move to "
         "tests/oracles.py, delete, or add to KEEP with a reason")

@@ -27,7 +27,7 @@ from cayley_greedy import (
     tree_count,
 )
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
-from cayley_greedy.trees import format_trees, read_trees
+from cayley_greedy.trees import _parent_batches, format_trees, read_trees
 from oracles import first_repetition_law, first_repetition_time
 from strategies import parent_tables
 
@@ -105,6 +105,16 @@ def test_enumerate_counts():
     assert sum(1 for _ in enumerate_all(3)) == 3
     assert sum(1 for _ in enumerate_all(4)) == 16
     assert sum(1 for _ in enumerate_all(6)) == 6 ** 4
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_parent_batches_decode_in_product_order(n):
+    batches = list(_parent_batches(n))
+    rows = [tuple(row) for batch in batches for row in batch.tolist()]
+    sequences = itertools.product(range(1, n + 1), repeat=max(n - 2, 0))
+    assert rows == [prufer_decode(list(seq), n).parents for seq in sequences]
+    # at n = 7 the grid holds the trailing 4 symbols, 7^4 <= 4096 < 7^5
+    assert len(batches) == (7 if n == 7 else 1)
 
 
 def test_enumerate_unique_and_valid():
