@@ -6,13 +6,18 @@ computes the same set in two ways:
 
 * the greedy peeling -- one walk (:func:`_greedy_walk`) that inspects the
   smallest undetermined label and touches only the inspected vertex and
-  its parent.  The parent comes from one of two sources: a fixed tree
-  (:func:`greedy_peeling`, :func:`greedy_exploration_steps`), on which the
-  walk constructs the sweep's active set; or the exploration's one-step
-  law, which needs no tree (:func:`greedy_markov_peeling`).  Its batched
-  form, :func:`enumeration_law`, walks every tree of a batch at once, and
-  both read the inspected vertex's new status from :data:`_V_AFTER`, so
-  the inspection rule is written once.
+  its parent.  It serves the explorations, whose parent comes from one of
+  two sources: a fixed tree (:func:`greedy_exploration_steps`, the edge
+  trace), or the exploration's one-step law, which needs no tree
+  (:func:`greedy_markov_peeling`).  Its batched form,
+  :func:`enumeration_law`, walks every tree of a batch at once.  On a
+  fixed tree the outcome alone comes from array rounds
+  (:func:`greedy_peeling`, like :func:`greedy_matching` and
+  :func:`max_independent_set`): each round settles every vertex whose
+  status no longer waits on an open one, and a sequential tail settles
+  what a stalled round leaves.  The walk, the batch and the tail of
+  :func:`greedy_peeling` all read the inspected vertex's new status from
+  :data:`_V_AFTER`, so the inspection rule is written once.
 * the status chain -- on a uniform tree, the five counts (undetermined,
   active-white, blocked-white, active-blue, blocked-blue) form a Markov
   chain whose transitions close over the counts alone, so the law of the
@@ -61,7 +66,7 @@ class VertexStatus(IntEnum):
     BLOCKED = 2
 
 
-#: VertexStatus values as plain ints, for the status bytearray of _greedy_walk
+#: VertexStatus values as plain ints, for the status arrays of the walk and the rounds
 _ACTIVE, _BLOCKED = int(VertexStatus.ACTIVE), int(VertexStatus.BLOCKED)
 
 #: the inspected vertex's new status, indexed by its parent's status before
@@ -133,16 +138,76 @@ def _greedy_walk(
     return active, inspections, root_last
 
 
-def greedy_peeling(tree: CayleyTree) -> GreedyOutcome:
-    """Greedy construction as a peeling of the rooted tree (see :func:`_greedy_walk`).
+#: the rounds of greedy_peeling, greedy_matching and max_independent_set
+#: stop at the first round that leaves more than this share of the open
+#: items open, and a sequential tail settles the rest.  A round costs a
+#: few array passes over the open items, so while each settles at least
+#: half of them the rounds cost O(n) in all.  Some inputs settle almost
+#: nothing per round (two vertices on the path 1 -> 2 -> ... -> n), and
+#: running their rounds to the end would cost O(n) per round, O(n^2) in all.
+_STALL_SHARE = 0.5
 
-    The resulting active set is the one the textbook sweep builds when it
-    inspects the vertices in label order.
+
+def greedy_peeling(tree: CayleyTree) -> GreedyOutcome:
+    """Greedy construction as a peeling of the rooted tree, in array rounds.
+
+    The active set is the one the textbook sweep builds when it inspects
+    the vertices in label order: v is active iff no neighbour of smaller
+    label is.  Each round activates every open vertex whose open
+    neighbours all have larger labels (its smaller ones are all blocked)
+    and blocks their open neighbours.  When a round stalls
+    (:data:`_STALL_SHARE`), the tail inspects the open vertices in label
+    order as :func:`_greedy_walk` does: v takes ``_V_AFTER`` of its
+    parent's status, and an open parent is blocked.
+
+    The walk's outcome follows from the final statuses.  A vertex becomes
+    active only when inspected, and the root is inspected only when it is
+    the last undetermined vertex, so the root-last flag is 1 iff the root
+    is active.  The walk skips a vertex exactly when an active child of
+    smaller label blocked it first, so the stopping step is n minus the
+    number of such vertices.
     """
-    active, steps, root_last = _greedy_walk(tree.n, tree.parent_of, [False] * tree.n + [True])
+    n = tree.n
+    parents = tree.parents
+    status = np.zeros(n + 1, dtype=np.uint8)  # VertexStatus by label
+    par = np.fromiter(parents, np.int64, count=n - 1)
+    child = np.arange(1, n)
+    lo, hi = np.minimum(child, par), np.maximum(child, par)  # edges, both ends open
+    open_ = np.arange(1, n + 1)
+    while open_.size:
+        has_smaller = np.zeros(n + 1, dtype=bool)
+        has_smaller[hi] = True
+        status[np.compress(~has_smaller[open_], open_)] = _ACTIVE
+        status[np.compress(status[lo] == _ACTIVE, hi)] = _BLOCKED
+        left = np.compress(status[open_] == 0, open_)
+        stalled = left.size > _STALL_SHARE * open_.size
+        open_ = left
+        if stalled:
+            break
+        keep = status[lo] == 0
+        keep &= status[hi] == 0
+        lo, hi = np.compress(keep, lo), np.compress(keep, hi)
+    if open_.size:
+        st = bytearray(status.tobytes())
+        for v in open_.tolist():
+            if st[v]:
+                continue
+            if v == n:  # the root, last undetermined vertex
+                st[v] = _ACTIVE
+                break
+            w = parents[v - 1]
+            before = st[w]
+            if not before:
+                st[w] = _BLOCKED
+            st[v] = _V_AFTER[before]
+        status = np.frombuffer(st, dtype=np.uint8)
+    active = status == _ACTIVE
+    skipped = np.zeros(n + 1, dtype=bool)
+    skipped[np.compress(active[1:n] & (child < par), par)] = True
+    members = np.flatnonzero(active)
     return GreedyOutcome(
-        size=len(active), steps=steps, root_last=root_last,
-        active_set=frozenset(active),
+        size=members.size, steps=n - int(np.count_nonzero(skipped)),
+        root_last=int(active[n]), active_set=frozenset(members.tolist()),
     )
 
 
@@ -167,7 +232,7 @@ def greedy_markov_peeling(n: int, rng: RandomSource):
     one), so its parent is blue with probability (L + 1)/n in total, each
     blue vertex being equally likely, and every other white vertex has
     probability 1/n.  Statuses update by the same walk as
-    :func:`greedy_peeling`; the exploration stops once nothing is
+    :func:`greedy_exploration_steps`; the exploration stops once nothing is
     undetermined, leaving a partial forest.
 
     Returns (steps, outcome); the outcome triple has the same law as the
@@ -667,68 +732,121 @@ def verify_symmetry_exact(n: int, cross_check: bool = False) -> SymmetryCheck:
 # --------------------------------------------------------------------------
 
 def greedy_matching(tree: CayleyTree, order: Sequence[int]) -> int:
-    """Size of the maximal matching built greedily along ``order``.
+    """Size of the maximal matching built greedily along ``order``, in array rounds.
 
     Edges are identified by their child vertex (1..n-1); an edge is kept
-    whenever both endpoints are still unmatched.  Raises ``ValueError``
-    unless ``order`` is a permutation of 1..n-1; a bad or repeated id is
-    caught when the loop meets it, which is safe as nothing outside the
-    function has changed.
+    whenever both endpoints are still unmatched when ``order`` reaches it.
+    Each round keeps every open edge that comes first in ``order`` among
+    the open edges at both of its endpoints (the earlier ones there are
+    all dropped), then drops every open edge that touches a matched
+    vertex.  When a round stalls (:data:`_STALL_SHARE`), the tail takes
+    the open edges in order.  Raises ``ValueError`` unless ``order`` is a
+    permutation of 1..n-1 with an integer dtype.
     """
     n = tree.n
-    if len(order) != n - 1:
+    ids = np.asarray(order)
+    if ids.shape != (n - 1,) or (ids.size and ids.dtype.kind not in "iu"):
         raise ValueError("order must be a permutation of the edge ids 1..n-1")
-    parents = tree.parents
-    seen = bytearray(n)
-    matched = bytearray(n + 1)
+    if n < 2:
+        return 0
+    rank = np.full(n, -1, dtype=np.int64)  # position in order, by edge id
+    if ids.min() >= 1 and ids.max() < n:
+        rank[ids] = np.arange(n - 1)
+    r = rank[1:]
+    if r.min() < 0:
+        raise ValueError("order must be a permutation of the edge ids 1..n-1")
+    par = np.zeros(n, dtype=np.int64)
+    par[1:] = np.fromiter(tree.parents, np.int64, count=n - 1)
+    c, p = np.arange(1, n), par[1:]  # the open edges, by their two ends
+    matched = np.zeros(n + 1, dtype=bool)
     size = 0
-    for v in order:
-        if not 0 < v < n or seen[v]:
-            raise ValueError("order must be a permutation of the edge ids 1..n-1")
-        seen[v] = 1
-        p = parents[v - 1]
-        if not matched[v] and not matched[p]:
-            matched[v] = 1
-            matched[p] = 1
-            size += 1
+    while r.size:
+        first = np.full(n + 1, n, dtype=np.int64)  # smallest open rank at a vertex
+        first[c] = r
+        np.minimum.at(first, p, r)
+        kept = first[c] == r
+        kept &= first[p] == r
+        c_kept = np.compress(kept, c)
+        matched[c_kept] = True
+        matched[np.compress(kept, p)] = True
+        size += c_kept.size
+        live = matched[c]
+        live |= matched[p]
+        np.logical_not(live, out=live)
+        before = r.size
+        c, p, r = np.compress(live, c), np.compress(live, p), np.compress(live, r)
+        if r.size > _STALL_SHARE * before:
+            break
+    if r.size:
+        is_open = np.zeros(n - 1, dtype=bool)  # by rank
+        is_open[r] = True
+        edges = np.compress(is_open, ids)
+        m = bytearray(matched.tobytes())
+        for v, w in zip(edges.tolist(), par[edges].tolist()):
+            if not m[v] and not m[w]:
+                m[v] = 1
+                m[w] = 1
+                size += 1
     return size
 
 
 def max_independent_set(tree: CayleyTree) -> int:
-    """Exact maximum independent set size, in one leaf-removal pass.
+    """Exact maximum independent set size, by leaf removal in array rounds.
 
-    Vertices are removed once all their children are gone, found by the
-    same pointer scan as :func:`prufer_decode`, so each vertex is seen
-    after its whole subtree.  A vertex is taken iff none of its children
-    was taken; on a tree this greedy is optimal (some maximum set holds
-    every leaf).  Works on any parent table, whatever its labels.
+    A vertex is taken iff none of its children was taken; on a tree this
+    greedy is optimal (some maximum set holds every leaf).  Each round
+    takes every open vertex with no open children, whose children are then
+    all untaken, and settles their parents as untaken.  When a round
+    stalls (:data:`_STALL_SHARE`), the tail runs the leaf removal over the
+    open vertices, children before parents: a scan in label order reaches
+    each vertex once its open children are done, or climbs to a parent of
+    smaller label as soon as that parent's last child is.  Works on any
+    parent table, whatever its labels.
     """
     n = tree.n
     parents = tree.parents
-    pending = [0] * (n + 1)  # children not yet removed
-    for p in parents:
-        pending[p] += 1
-    covered = bytearray(n + 1)  # some child was taken
+    par = np.zeros(n + 1, dtype=np.int64)  # par[n] = 0: the root has none
+    par[1:n] = np.fromiter(parents, np.int64, count=n - 1)
+    settled = np.zeros(n + 1, dtype=bool)
+    open_ = np.arange(1, n + 1)
     size = 0
-    ptr = 1
-    while pending[ptr]:
-        ptr += 1
-    leaf = ptr
-    for _ in range(n - 1):
-        p = parents[leaf - 1]
-        if not covered[leaf]:
-            size += 1
-            covered[p] = 1
-        pending[p] -= 1
-        if not pending[p] and p < ptr:
-            leaf = p
-        else:
-            ptr += 1
-            while pending[ptr]:
-                ptr += 1
-            leaf = ptr
-    # the root n goes last
-    return size + (not covered[n])
+    while open_.size:
+        busy = np.zeros(n + 1, dtype=bool)  # has an open child
+        busy[par[open_]] = True
+        take = np.compress(~busy[open_], open_)
+        size += take.size
+        settled[take] = True
+        settled[par[take]] = True
+        left = np.compress(~settled[open_], open_)
+        stalled = left.size > _STALL_SHARE * open_.size
+        open_ = left
+        if stalled:
+            break
+    if open_.size:
+        pending = np.bincount(par[open_], minlength=n + 1)  # open children
+        pending[settled] = n  # never reaches 0, so the scan passes it by
+        pending = pending.tolist()
+        covered = bytearray(n + 1)  # a child was taken in the tail
+        labels = open_.tolist()
+        root_open = labels[-1] == n
+        if root_open:
+            labels.pop()
+        for v in labels:
+            if pending[v]:
+                continue
+            u = v
+            while True:
+                p = parents[u - 1]
+                if not covered[u]:
+                    size += 1
+                    covered[p] = 1
+                pending[p] -= 1
+                if pending[p] or p > v:
+                    break
+                u = p
+        if root_open:
+            size += not covered[n]
+    return size
 
 
 # --------------------------------------------------------------------------

@@ -317,7 +317,7 @@ def _ratio_values(kind: str, n: int, seed: int, start: int, stop: int) -> list[f
         child = master.child(i)
         if kind == "matching":
             tree = sample_uniform(n, child)
-            order = child.generator.permutation(np.arange(1, n)).tolist()
+            order = child.generator.permutation(np.arange(1, n))
             value = greedy.greedy_matching(tree, order)
         elif kind == "max-is":
             value = greedy.max_independent_set(sample_uniform(n, child))

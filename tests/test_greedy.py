@@ -200,8 +200,10 @@ def _pruefer_trees(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_pruefer_trees())
+@given(st.one_of(_pruefer_trees(), parent_tables(max_n=60).map(lambda t: CayleyTree(*t))))
 def test_peeling_walks_agree_on_random_trees(t):
+    # parent tables have free labels, increasing paths among them, which
+    # stall the rounds of greedy_peeling and leave the work to its tail
     out = greedy_peeling(t)
     assert out.active_set == greedy_reference(t, range(1, t.n + 1))
     _, explored = greedy_exploration_steps(t)
@@ -840,9 +842,22 @@ def test_matching_requires_edge_permutation():
         (star, [4, 2, 3, -1]),  # a negative id must not wrap around
         (star, [1, 2, 3]),  # one edge too short
         (star, [1, 2, 3, 4, 1]),  # one edge too long
+        (star, [1.5, 2, 3, 4]),  # a float id must not be truncated to 1
     ]:
         with pytest.raises(ValueError, match="permutation"):
             greedy_matching(tree, order)
+
+
+def _matching_loop(tree, order):
+    """The greedy matching edge by edge: (kept edge ids, matched vertices)."""
+    matched = set()
+    kept = []
+    for v in order:
+        p = tree.parent_of(v)
+        if v not in matched and p not in matched:
+            matched.update((v, p))
+            kept.append(v)
+    return kept, matched
 
 
 def test_matching_is_maximal_random():
@@ -851,17 +866,26 @@ def test_matching_is_maximal_random():
         n = 3 + rng.integer(0, 25)
         t = sample_uniform(n, rng.child(i))
         order = (rng.child(100 + i).generator.permutation(n - 1) + 1).tolist()
-        matched = set()
-        kept = []
-        for v in order:
-            p = t.parent_of(v)
-            if v not in matched and p not in matched:
-                matched.update((v, p))
-                kept.append(v)
+        kept, matched = _matching_loop(t, order)
         assert len(kept) == greedy_matching(t, order)
         # maximality: every unkept edge touches a matched endpoint
         for v in range(1, n):
             assert v in matched or t.parent_of(v) in matched
+
+
+@st.composite
+def _tables_with_order(draw):
+    n, parents = draw(parent_tables(max_n=60))
+    return CayleyTree(n, parents), draw(st.permutations(range(1, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_with_order())
+def test_matching_equals_loop_on_parent_tables(case):
+    t, order = case
+    kept, _ = _matching_loop(t, order)
+    assert greedy_matching(t, order) == len(kept)
+    assert greedy_matching(t, np.array(order, dtype=np.int64)) == len(kept)
 
 
 def _max_is_brute(tree):
@@ -917,6 +941,40 @@ def test_max_is_equals_dp_exhaustive(n):
 @given(parent_tables(max_n=60))
 def test_max_is_equals_dp_on_parent_tables(table):
     t = CayleyTree(*table)
+    assert max_independent_set(t) == _max_is_dp(t)
+
+
+def _caterpillar(n):
+    """Spine 1 -> 2 -> ... -> s -> n with s = n/2 - 1, and a leg of larger
+    label on each spine vertex; the legs left over hang from the root."""
+    s = n // 2 - 1
+    spine = [v + 1 for v in range(1, s)] + [n]
+    legs = [v - s if v - s <= s else n for v in range(s + 1, n)]
+    return CayleyTree(n, spine + legs)
+
+
+#: n = 2000 shapes on which a round settles only a few items, or all at once;
+#: on the path of odd length the max-IS tail ends with the root, untaken so far
+SHAPES = {
+    "increasing path": CayleyTree(2000, [v + 1 for v in range(1, 2000)]),
+    "increasing path, odd": CayleyTree(2001, [v + 1 for v in range(1, 2001)]),
+    "decreasing path": CayleyTree(2000, [2000] + list(range(1, 1999))),
+    "star": CayleyTree(2000, [2000] * 1999),
+    "caterpillar": _caterpillar(2000),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_statistics_on_shapes_that_stall_the_rounds(shape):
+    t = SHAPES[shape]
+    n = t.n
+    out = greedy_peeling(t)
+    assert out.active_set == greedy_reference(t, range(1, n + 1))
+    _, walked = greedy_exploration_steps(t)
+    assert (out.size, out.steps, out.root_last) == \
+        (walked.size, walked.steps, walked.root_last)
+    for order in (list(range(1, n)), list(range(n - 1, 0, -1))):
+        assert greedy_matching(t, order) == len(_matching_loop(t, order)[0])
     assert max_independent_set(t) == _max_is_dp(t)
 
 
