@@ -15,8 +15,8 @@ computes the same set in two ways:
   (:func:`greedy_peeling`, like :func:`greedy_matching` and
   :func:`max_independent_set`): each round settles every vertex whose
   status no longer waits on an open one, and a sequential tail settles
-  what a stalled round leaves.  The walk, the batch and the tail of
-  :func:`greedy_peeling` all read the inspected vertex's new status from
+  what a stalled round leaves (:func:`_greedy_statuses`).  The walk, the
+  batch and that tail all read the inspected vertex's new status from
   :data:`_V_AFTER`, so the inspection rule is written once.
 * the status chain -- on a uniform tree, the five counts (undetermined,
   active-white, blocked-white, active-blue, blocked-blue) form a Markov
@@ -81,15 +81,14 @@ class GreedyOutcome:
     size: int
     steps: int
     root_last: int
-    active_set: frozenset[int] | None = None
 
 
 def _greedy_walk(
     n: int,
     parent: Callable[[int], int],
     blue: list[bool],
-    steps: list[PeelStep] | None = None,
-) -> tuple[list[int], int, int]:
+    steps: list[PeelStep],
+) -> GreedyOutcome:
     """The greedy peeling, whatever supplies the parents.
 
     At each step the smallest-label undetermined vertex v is inspected and
@@ -104,11 +103,9 @@ def _greedy_walk(
     takes w's color.  Colors need no union-find: a white component of size
     >= 2 is rooted at a blocked vertex, which is never inspected again, so
     only the inspected vertex itself can turn blue.  ``steps`` collects a
-    PeelStep per non-root inspection.  Returns (active vertices in
-    activation order, inspections, root-last flag).
+    PeelStep per non-root inspection.
     """
     status = bytearray(n + 1)  # VertexStatus values
-    active: list[int] = []
     undetermined = n
     inspections = 0
     root_last = 0
@@ -124,8 +121,7 @@ def _greedy_walk(
             undetermined -= 1
         else:
             w = parent(v)
-            if steps is not None:
-                steps.append(PeelStep(peeled=v, parent=w, recolored_to_blue=blue[w]))
+            steps.append(PeelStep(peeled=v, parent=w, recolored_to_blue=blue[w]))
             blue[v] = blue[w]
             before = status[w]
             if not before:
@@ -133,9 +129,7 @@ def _greedy_walk(
                 undetermined -= 1
             status[v] = _V_AFTER[before]
             undetermined -= 1
-        if status[v] == _ACTIVE:
-            active.append(v)
-    return active, inspections, root_last
+    return GreedyOutcome(size=status.count(_ACTIVE), steps=inspections, root_last=root_last)
 
 
 #: the rounds of greedy_peeling, greedy_matching and max_independent_set
@@ -148,29 +142,22 @@ def _greedy_walk(
 _STALL_SHARE = 0.5
 
 
-def greedy_peeling(tree: CayleyTree) -> GreedyOutcome:
-    """Greedy construction as a peeling of the rooted tree, in array rounds.
+def _greedy_statuses(tree: CayleyTree, par: np.ndarray) -> np.ndarray:
+    """Final VertexStatus by label of the greedy peeling, in array rounds.
 
-    The active set is the one the textbook sweep builds when it inspects
-    the vertices in label order: v is active iff no neighbour of smaller
-    label is.  Each round activates every open vertex whose open
-    neighbours all have larger labels (its smaller ones are all blocked)
-    and blocks their open neighbours.  When a round stalls
-    (:data:`_STALL_SHARE`), the tail inspects the open vertices in label
-    order as :func:`_greedy_walk` does: v takes ``_V_AFTER`` of its
-    parent's status, and an open parent is blocked.
-
-    The walk's outcome follows from the final statuses.  A vertex becomes
-    active only when inspected, and the root is inspected only when it is
-    the last undetermined vertex, so the root-last flag is 1 iff the root
-    is active.  The walk skips a vertex exactly when an active child of
-    smaller label blocked it first, so the stopping step is n minus the
-    number of such vertices.
+    ``par`` holds ``tree.parents`` as an int64 array.  The active set is
+    the one the textbook sweep builds when it inspects the vertices in
+    label order: v is active iff no neighbour of smaller label is.  Each
+    round activates every open vertex whose open neighbours all have
+    larger labels (its smaller ones are all blocked) and blocks their open
+    neighbours.  When a round stalls (:data:`_STALL_SHARE`), the tail
+    inspects the open vertices in label order as :func:`_greedy_walk`
+    does: v takes ``_V_AFTER`` of its parent's status, and an open parent
+    is blocked.
     """
     n = tree.n
     parents = tree.parents
     status = np.zeros(n + 1, dtype=np.uint8)  # VertexStatus by label
-    par = np.fromiter(parents, np.int64, count=n - 1)
     child = np.arange(1, n)
     lo, hi = np.minimum(child, par), np.maximum(child, par)  # edges, both ends open
     open_ = np.arange(1, n + 1)
@@ -201,13 +188,27 @@ def greedy_peeling(tree: CayleyTree) -> GreedyOutcome:
                 st[w] = _BLOCKED
             st[v] = _V_AFTER[before]
         status = np.frombuffer(st, dtype=np.uint8)
-    active = status == _ACTIVE
+    return status
+
+
+def greedy_peeling(tree: CayleyTree) -> GreedyOutcome:
+    """Outcome of the greedy peeling of the rooted tree, from its final statuses.
+
+    The statuses come from the array rounds of :func:`_greedy_statuses`.  A
+    vertex becomes active only when inspected, and the root is inspected
+    only when it is the last undetermined vertex, so the root-last flag is
+    1 iff the root is active.  The walk skips a vertex exactly when an
+    active child of smaller label blocked it first, so the stopping step is
+    n minus the number of such vertices.
+    """
+    n = tree.n
+    par = np.fromiter(tree.parents, np.int64, count=n - 1)
+    active = _greedy_statuses(tree, par) == _ACTIVE
     skipped = np.zeros(n + 1, dtype=bool)
-    skipped[np.compress(active[1:n] & (child < par), par)] = True
-    members = np.flatnonzero(active)
+    skipped[np.compress(active[1:n] & (np.arange(1, n) < par), par)] = True
     return GreedyOutcome(
-        size=members.size, steps=n - int(np.count_nonzero(skipped)),
-        root_last=int(active[n]), active_set=frozenset(members.tolist()),
+        size=int(np.count_nonzero(active)), steps=n - int(np.count_nonzero(skipped)),
+        root_last=int(active[n]),
     )
 
 
@@ -219,10 +220,7 @@ def greedy_exploration_steps(tree: CayleyTree):
     the root adds no edge.
     """
     steps: list[PeelStep] = []
-    active, inspections, root_last = _greedy_walk(
-        tree.n, tree.parent_of, [False] * tree.n + [True], steps=steps
-    )
-    return steps, GreedyOutcome(size=len(active), steps=inspections, root_last=root_last)
+    return steps, _greedy_walk(tree.n, tree.parent_of, [False] * tree.n + [True], steps)
 
 
 def greedy_markov_peeling(n: int, rng: RandomSource):
@@ -255,8 +253,7 @@ def greedy_markov_peeling(n: int, rng: RandomSource):
                 return w
 
     steps: list[PeelStep] = []
-    active, inspections, root_last = _greedy_walk(n, parent, blue, steps=steps)
-    return steps, GreedyOutcome(size=len(active), steps=inspections, root_last=root_last)
+    return steps, _greedy_walk(n, parent, blue, steps)
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +318,6 @@ def simulate_status_chain_many(
     n: int,
     replicates: int,
     rng: RandomSource,
-    block: int = CHAIN_BLOCK,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replicates of the status chain, each giving (size, steps, root_last).
 
@@ -339,7 +335,7 @@ def simulate_status_chain_many(
     start = 0
     block_index = 0
     while start < replicates:
-        w = min(block, replicates - start)
+        w = min(CHAIN_BLOCK, replicates - start)
         g, t, e = _chain_block(n, w, rng.child(block_index).generator)
         sizes[start:start + w] = g
         steps[start:start + w] = t

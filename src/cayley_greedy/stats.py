@@ -319,10 +319,8 @@ def _ratio_values(kind: str, n: int, seed: int, start: int, stop: int) -> list[f
             tree = sample_uniform(n, child)
             order = child.generator.permutation(np.arange(1, n))
             value = greedy.greedy_matching(tree, order)
-        elif kind == "max-is":
+        else:  # max-is; tree_sweep_experiment rejects any other kind
             value = greedy.max_independent_set(sample_uniform(n, child))
-        else:
-            raise ValueError(f"unknown sweep kind {kind!r}")
         values.append(value / n)
     return values
 

@@ -2,7 +2,7 @@
 library against.
 
 * :func:`greedy_reference` -- the textbook greedy sweep, against the
-  peeling walk of :func:`cayley_greedy.greedy.greedy_peeling`.
+  active set of the peeling's array rounds, :func:`peeling_active_set`.
 * :class:`StatusCounts`, :func:`chain_transitions` and
   :func:`reference_chain_law` -- the full five-count status chain in
   rationals, against the packed DP :func:`cayley_greedy.exact_chain_law`;
@@ -20,11 +20,14 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from cayley_greedy.greedy import (
     CHAIN_DELTA,
     ChainColumn,
     GreedyLaw,
     VertexStatus,
+    _greedy_statuses,
     chain_weights,
     greedy_exploration_steps,
 )
@@ -52,6 +55,14 @@ def greedy_reference(tree: CayleyTree, order: Sequence[int]) -> frozenset[int]:
             if status[w] == VertexStatus.UNDETERMINED:
                 status[w] = VertexStatus.BLOCKED
     return frozenset(active)
+
+
+def peeling_active_set(tree: CayleyTree) -> frozenset[int]:
+    """Active set of the greedy peeling, read from the final statuses of
+    the array rounds that :func:`cayley_greedy.greedy_peeling` runs."""
+    par = np.fromiter(tree.parents, np.int64, count=tree.n - 1)
+    status = _greedy_statuses(tree, par)
+    return frozenset(np.flatnonzero(status == VertexStatus.ACTIVE).tolist())
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cayley_greedy import (
     CayleyTree,
+    GreedyOutcome,
     RandomSource,
     enumerate_all,
     enumeration_law,
@@ -28,6 +29,7 @@ from cayley_greedy import (
     tree_count,
     verify_symmetry_exact,
 )
+from cayley_greedy import greedy
 from cayley_greedy.greedy import (
     CHAIN_BLOCK,
     CHAIN_DELTA,
@@ -49,6 +51,7 @@ from oracles import (
     _root_avoiding_survival,
     chain_transitions,
     greedy_reference,
+    peeling_active_set,
     reference_chain_law,
     status_count_trace,
 )
@@ -123,19 +126,19 @@ def test_reference_label_order_law_invariant_under_reversal():
 def test_peeling_outcome_center_1():
     out = greedy_peeling(CENTER_1)
     assert (out.size, out.steps, out.root_last) == (1, 2, 0)
-    assert out.active_set == {1}
+    assert peeling_active_set(CENTER_1) == {1}
 
 
 def test_peeling_outcome_center_2():
     out = greedy_peeling(CENTER_2)
     assert (out.size, out.steps, out.root_last) == (2, 2, 1)
-    assert out.active_set == {1, 3}
+    assert peeling_active_set(CENTER_2) == {1, 3}
 
 
 def test_peeling_outcome_center_3():
     out = greedy_peeling(CENTER_3)
     assert (out.size, out.steps, out.root_last) == (2, 2, 0)
-    assert out.active_set == {1, 2}
+    assert peeling_active_set(CENTER_3) == {1, 2}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -143,10 +146,11 @@ def test_peeling_equals_reference_exhaustive(n):
     order = tuple(range(1, n + 1))
     for t in enumerate_all(n):
         out = greedy_peeling(t)
-        assert out.active_set == greedy_reference(t, order)
-        assert _is_independent(t, out.active_set)
-        assert _is_maximal(t, out.active_set)
-        assert out.size + (n - out.size) == n
+        active = peeling_active_set(t)
+        assert active == greedy_reference(t, order)
+        assert _is_independent(t, active)
+        assert _is_maximal(t, active)
+        assert out.size == len(active)
 
 
 def test_peeling_trace_conserves_total():
@@ -205,7 +209,7 @@ def test_peeling_walks_agree_on_random_trees(t):
     # parent tables have free labels, increasing paths among them, which
     # stall the rounds of greedy_peeling and leave the work to its tail
     out = greedy_peeling(t)
-    assert out.active_set == greedy_reference(t, range(1, t.n + 1))
+    assert peeling_active_set(t) == greedy_reference(t, range(1, t.n + 1))
     _, explored = greedy_exploration_steps(t)
     assert (explored.size, explored.steps, explored.root_last) == \
         (out.size, out.steps, out.root_last)
@@ -367,8 +371,9 @@ def test_batch_chain_joint_law_matches_exact_n4():
 
 #: SHA-256 of the little-endian int64 bytes of sizes, steps and root_last,
 #: in that order, from simulate_status_chain_many(n, replicates,
-#: RandomSource(seed), block); captured from the kernel that ran a float
-#: cascade and one masked update per column over every lane
+#: RandomSource(seed)) with CHAIN_BLOCK set to block; captured from the
+#: kernel that ran a float cascade and one masked update per column over
+#: every lane
 CHAIN_SHA256 = {
     (1, 50, CHAIN_BLOCK, 11):
         "b29f00e8a4e67703038921af2188948b3afc00da5d0fb45a016c2121cd6b139a",
@@ -386,10 +391,11 @@ CHAIN_SHA256 = {
 
 
 @pytest.mark.parametrize("case", sorted(CHAIN_SHA256))
-def test_chain_golden_digest(case):
+def test_chain_golden_digest(case, monkeypatch):
     n, replicates, block, seed = case
+    monkeypatch.setattr(greedy, "CHAIN_BLOCK", block)
     digest = hashlib.sha256()
-    for out in simulate_status_chain_many(n, replicates, RandomSource(seed), block=block):
+    for out in simulate_status_chain_many(n, replicates, RandomSource(seed)):
         digest.update(out.astype("<i8").tobytes())
     assert digest.hexdigest() == CHAIN_SHA256[case]
 
@@ -532,7 +538,7 @@ def test_greedy_markov_peeling_golden(n, seed):
     steps, out = greedy_markov_peeling(n, RandomSource(seed))
     expected_steps, expected_out = MARKOV_GOLDEN[(n, seed)]
     assert [(s.peeled, s.parent, int(s.recolored_to_blue)) for s in steps] == expected_steps
-    assert (out.size, out.steps, out.root_last, out.active_set) == (*expected_out, None)
+    assert out == GreedyOutcome(*expected_out)
 
 
 def test_greedy_markov_peeling_golden_digest_n10000():
@@ -969,7 +975,7 @@ def test_statistics_on_shapes_that_stall_the_rounds(shape):
     t = SHAPES[shape]
     n = t.n
     out = greedy_peeling(t)
-    assert out.active_set == greedy_reference(t, range(1, n + 1))
+    assert peeling_active_set(t) == greedy_reference(t, range(1, n + 1))
     _, walked = greedy_exploration_steps(t)
     assert (out.size, out.steps, out.root_last) == \
         (walked.size, walked.steps, walked.root_last)

@@ -1,10 +1,12 @@
 """Layout guard: the library keeps only code that something runs.
 
-Every top-level function and class in ``src/cayley_greedy``, and every
-method that is not a dunder, must be named in ``src/`` outside its own body,
-or in ``perfbench/`` outside ``perfbench/tests``: by the CLI, the benchmark
-or another library function.  Re-exports in ``__init__.py`` and the tests do
-not count; code that only tests call belongs in ``tests/oracles.py``.
+Every top-level function and class in ``src/cayley_greedy``, every method
+that is not a dunder and every field of a dataclass must be named in
+``src/`` outside its own body, or in ``perfbench/`` outside
+``perfbench/tests``: by the CLI, the benchmark or another library function.
+Re-exports in ``__init__.py`` and the tests do not count; code that only
+tests call belongs in ``tests/oracles.py``.  A field counts as read where
+its name is used, not where a constructor call passes it by keyword.
 
 A name counts as used where it appears as a variable, an attribute, an
 imported name or a whole string constant (the benchmark's tracer names the
@@ -56,19 +58,33 @@ def _names(tree: ast.AST) -> Counter:
     return out
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is decorated with ``dataclass``, called or not."""
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
 def _definitions(path: Path, module: ast.Module):
     """(qualified name, node) of each top-level function and class of a
-    library module and of each method that is not a dunder."""
+    library module, of each method that is not a dunder and of each field
+    of a dataclass."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in module.body:
         if not isinstance(node, defs):
             continue
         yield f"{path.stem}.{node.name}", node
         if isinstance(node, ast.ClassDef):
+            fields = _is_dataclass(node)
             for item in node.body:
                 if isinstance(item, defs[:2]) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
                     yield f"{path.stem}.{node.name}.{item.name}", item
+                elif (fields and isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield f"{path.stem}.{node.name}.{item.target.id}", item
 
 
 def _parsed() -> dict[Path, ast.Module]:
@@ -111,6 +127,19 @@ def test_unused_scan_follows_unused_callers():
     assert _unused({path: module}, [path]) == ["synthetic.a", "synthetic.b"]
     caller = ast.parse("a()\n")
     assert _unused({path: module, Path("caller.py"): caller}, [path]) == []
+
+
+def test_unused_scan_sees_dataclass_fields():
+    # a keyword argument builds the field but does not read it; a string
+    # constant names it, as a list of report columns does
+    path = Path("synthetic.py")
+    module = ast.parse(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Out:\n    size: int\n    extra: int = 0\n\n\n"
+        "def run():\n    return Out(size=1, extra=2).size\n\n\nrun()\n")
+    assert _unused({path: module}, [path]) == ["synthetic.Out.extra"]
+    columns = ast.parse("COLUMNS = ['extra']\n")
+    assert _unused({path: module, Path("columns.py"): columns}, [path]) == []
 
 
 def test_library_code_has_a_caller():
