@@ -142,10 +142,11 @@ def _greedy_walk(
 _STALL_SHARE = 0.5
 
 
-def _greedy_statuses(tree: CayleyTree, par: np.ndarray) -> np.ndarray:
+def _greedy_statuses(par: np.ndarray) -> np.ndarray:
     """Final VertexStatus by label of the greedy peeling, in array rounds.
 
-    ``par`` holds ``tree.parents`` as an int64 array.  The active set is
+    ``par`` is the :attr:`~CayleyTree.parent_array` of a tree on
+    n = ``par.size + 1`` vertices, and is only read.  The active set is
     the one the textbook sweep builds when it inspects the vertices in
     label order: v is active iff no neighbour of smaller label is.  Each
     round activates every open vertex whose open neighbours all have
@@ -155,8 +156,7 @@ def _greedy_statuses(tree: CayleyTree, par: np.ndarray) -> np.ndarray:
     does: v takes ``_V_AFTER`` of its parent's status, and an open parent
     is blocked.
     """
-    n = tree.n
-    parents = tree.parents
+    n = par.size + 1
     status = np.zeros(n + 1, dtype=np.uint8)  # VertexStatus by label
     child = np.arange(1, n)
     lo, hi = np.minimum(child, par), np.maximum(child, par)  # edges, both ends open
@@ -176,17 +176,17 @@ def _greedy_statuses(tree: CayleyTree, par: np.ndarray) -> np.ndarray:
         lo, hi = np.compress(keep, lo), np.compress(keep, hi)
     if open_.size:
         st = bytearray(status.tobytes())
-        for v in open_.tolist():
+        labels = open_.tolist()
+        # the root, if open, is the last label; zip stops before it
+        for v, w in zip(labels, par[open_[open_ < n] - 1].tolist()):
             if st[v]:
                 continue
-            if v == n:  # the root, last undetermined vertex
-                st[v] = _ACTIVE
-                break
-            w = parents[v - 1]
             before = st[w]
             if not before:
                 st[w] = _BLOCKED
             st[v] = _V_AFTER[before]
+        if labels[-1] == n and not st[n]:  # the root, last undetermined vertex
+            st[n] = _ACTIVE
         status = np.frombuffer(st, dtype=np.uint8)
     return status
 
@@ -202,8 +202,8 @@ def greedy_peeling(tree: CayleyTree) -> GreedyOutcome:
     n minus the number of such vertices.
     """
     n = tree.n
-    par = np.fromiter(tree.parents, np.int64, count=n - 1)
-    active = _greedy_statuses(tree, par) == _ACTIVE
+    par = tree.parent_array
+    active = _greedy_statuses(par) == _ACTIVE
     skipped = np.zeros(n + 1, dtype=bool)
     skipped[np.compress(active[1:n] & (np.arange(1, n) < par), par)] = True
     return GreedyOutcome(
@@ -752,7 +752,7 @@ def greedy_matching(tree: CayleyTree, order: Sequence[int]) -> int:
     if r.min() < 0:
         raise ValueError("order must be a permutation of the edge ids 1..n-1")
     par = np.zeros(n, dtype=np.int64)
-    par[1:] = np.fromiter(tree.parents, np.int64, count=n - 1)
+    par[1:] = tree.parent_array
     c, p = np.arange(1, n), par[1:]  # the open edges, by their two ends
     matched = np.zeros(n + 1, dtype=bool)
     size = 0
@@ -800,9 +800,8 @@ def max_independent_set(tree: CayleyTree) -> int:
     parent table, whatever its labels.
     """
     n = tree.n
-    parents = tree.parents
     par = np.zeros(n + 1, dtype=np.int64)  # par[n] = 0: the root has none
-    par[1:n] = np.fromiter(parents, np.int64, count=n - 1)
+    par[1:n] = tree.parent_array
     settled = np.zeros(n + 1, dtype=bool)
     open_ = np.arange(1, n + 1)
     size = 0
@@ -827,12 +826,14 @@ def max_independent_set(tree: CayleyTree) -> int:
         root_open = labels[-1] == n
         if root_open:
             labels.pop()
+        # parents of the open non-root vertices, the only u the climb reaches
+        parent = dict(zip(labels, par[open_].tolist()))
         for v in labels:
             if pending[v]:
                 continue
             u = v
             while True:
-                p = parents[u - 1]
+                p = parent[u]
                 if not covered[u]:
                     size += 1
                     covered[p] = 1

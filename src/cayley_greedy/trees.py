@@ -351,16 +351,19 @@ class CayleyTree:
     """A labeled tree on vertices {1..n}, rooted at vertex n.
 
     ``parents[v - 1]`` is the parent of vertex ``v`` for ``1 <= v <= n - 1``;
-    the root n has no parent.  Instances are immutable and hashable.
+    the root n has no parent.  :attr:`parent_array` holds the same table
+    as a read-only int64 array.  Instances are immutable and hashable.
 
     ``CayleyTree(n, parents)``, :meth:`from_line` and :func:`read_trees`
     check labels and reject cycles.  Trees the library builds itself
     (:func:`prufer_decode`, :func:`pitman_sample`,
     :func:`aldous_broder_sample` and ``peeling.peel_markov``) are valid by
-    construction and come from :meth:`_trusted`, which skips that check.
+    construction and come from :meth:`_trusted`, which skips that check;
+    :func:`sample_uniform` at large n builds an :class:`_ArrayTree` from
+    its decoded parent array.
     """
 
-    __slots__ = ("n", "parents")
+    __slots__ = ("n", "parents", "_array")
 
     def __init__(self, n: int, parents: Sequence[int]):
         parents = tuple(parents)
@@ -401,6 +404,17 @@ class CayleyTree:
                 d += 1
                 depth[y] = d
 
+    @property
+    def parent_array(self) -> np.ndarray:
+        """``parents`` as a read-only int64 array, made on first use."""
+        try:
+            return self._array
+        except AttributeError:
+            array = np.fromiter(self.parents, np.int64, count=self.n - 1)
+            array.flags.writeable = False
+            self._array = array
+            return array
+
     def parent_of(self, v: int) -> int:
         if v == self.n:
             raise ValueError("the root has no parent")
@@ -435,8 +449,37 @@ class CayleyTree:
     def __hash__(self) -> int:
         return hash((self.n, self.parents))
 
+    def __reduce__(self):
+        # a plain tree from its tuple, so a clone's array is read-only too
+        return CayleyTree._trusted, (self.n, self.parents)
+
     def __repr__(self) -> str:
         return f"CayleyTree(n={self.n}, parents={self.parents})"
+
+
+class _ArrayTree(CayleyTree):
+    """A tree built from its parent array; ``parents`` is made on first read.
+
+    A subclass, so that :class:`CayleyTree` keeps ``parents`` a plain slot:
+    explorations build many small trees with :meth:`CayleyTree._trusted`
+    and read ``parents`` once each, and a lazy ``parents`` there would
+    slow both.
+    """
+
+    __slots__ = ("_parents",)
+
+    def __init__(self, n: int, array: np.ndarray):
+        array.flags.writeable = False
+        self.n = n
+        self._array = array
+
+    @property
+    def parents(self) -> tuple[int, ...]:
+        try:
+            return self._parents
+        except AttributeError:
+            self._parents = tuple(self._array.tolist())
+            return self._parents
 
 
 def format_trees(trees: Iterable[CayleyTree]) -> str:
@@ -528,13 +571,110 @@ def prufer_encode(tree: CayleyTree) -> list[int]:
     return out
 
 
+#: the smallest n that :func:`sample_uniform` decodes with
+#: :func:`_decode_parents`: the passes cost at least about 45 us, and the
+#: pointer loop of :func:`prufer_decode`, with the ``tolist`` it needs,
+#: was as fast at n = 500 and faster below in per-call timings; no
+#: benchmark workload draws a tree below n = 10^4 to confirm it
+_ARRAY_DECODE_MIN = 500
+
+#: passes of :func:`_decode_parents` before it gives up.  Uniform sequences
+#: settle in 3-5 passes at n = 10^2 to 10^5, and sixteen passes cost about
+#: as much as the pointer loop at n = 10^4, so a sequence that needs more
+#: (the zigzag 2, n - 1, 3, n - 2, ... takes 19 at n = 10^5) pays at most
+#: about twice the loop when it falls back to it
+_DECODE_PASSES = 16
+
+
+def _decode_parents(symbols: np.ndarray, n: int) -> np.ndarray | None:
+    """Parent table of ``prufer_decode(symbols, n)`` as an int64 array, in
+    whole-array passes; None if the passes have not settled after
+    :data:`_DECODE_PASSES`.  ``symbols`` is an int64 array of n - 2 >= 1
+    labels in 1..n.
+
+    Step j of the decode removes the smallest leaf x_j, and x_j's parent
+    is a_j, the j-th symbol (a_(n-1) = n).  A vertex v becomes a leaf after
+    step r(v), the last position of v in the sequence (0 if v does not
+    appear); n is never removed.  So each v < n is removed either
+
+    * at step r(v) + 1, when it is below the loop's pointer as it becomes a
+      leaf (a *chain* vertex, needs r(v) >= 1), or
+    * by the pointer, which removes the other (*pointer*) vertices in
+      increasing label order in the steps that are left.
+
+    v is a chain vertex iff r(v) >= 1 and fewer than m(r(v)) pointer
+    vertices lie below v, where m(j) = j - #{chain u : r(u) < j} counts
+    the pointer's steps among the first j.  The passes start with every v
+    that has r(v) >= 1 as a chain vertex and re-evaluate this condition
+    until the chain set stops changing.  The candidates have distinct r,
+    so in sequence order a pass is two cumsums, one scatter and one gather.
+
+    Any set that the condition maps to itself decodes correctly, so
+    wherever the passes settle is right.  Its schedule (chain vertices at
+    step r(v) + 1, pointer vertices in label order in the other steps)
+    removes each vertex after it became a leaf: a pointer vertex with
+    r(v) >= 1 has at least m(r(v)) pointer vertices below it, so its step
+    comes after the first r(v).  And step j removes the smallest leaf
+    left, x_j.  A leaf u < x_j still there at step j has r(u) < j, so it
+    is not a chain vertex, which would have been removed at step
+    r(u) + 1 <= j.  As a pointer vertex it goes before x_j if x_j is one,
+    and if x_j is a chain vertex, u is one of the fewer than m(j - 1)
+    pointer vertices below x_j, which take pointer steps among the first
+    j - 1.  Only the decode's own schedule removes the smallest leaf at
+    every step, so the two are the same.
+    """
+    m = n - 2
+    steps = np.arange(1, m + 1)
+    last = np.zeros(n + 1, dtype=np.int64)  # r(v) by label
+    np.maximum.at(last, symbols, steps)
+    is_last = last[symbols] == steps
+    is_last &= symbols < n
+    r = np.compress(is_last, steps)  # the candidates, in sequence order
+    v = np.compress(is_last, symbols)
+    below = v - 1
+    chain = np.ones(r.size, dtype=bool)
+    for _ in range(_DECODE_PASSES):
+        by_label = np.zeros(n, dtype=bool)
+        by_label[v] = chain
+        # pointer vertices below v, against the pointer's steps up to r(v):
+        # v - 1 - #{chain u < v} < r(v) - #{chain u : r(u) < r(v)}, where
+        # chain(v) cancels between the inclusive counts of the two cumsums
+        settled = below - by_label.cumsum()[v] < r - chain.cumsum()
+        if np.array_equal(settled, chain):
+            break
+        chain = settled
+    else:
+        return None
+    # a chain vertex goes at step r(v) + 1, whose symbol is at index r(v);
+    # the pointer vertices take the other steps in label order
+    chain_labels = np.compress(chain, v) - 1
+    chain_steps = np.compress(chain, r)
+    symbols = np.append(symbols, n)
+    par = np.empty(n - 1, dtype=np.int64)
+    par[chain_labels] = symbols[chain_steps]
+    pointer = np.ones(n - 1, dtype=bool)
+    pointer[chain_labels] = False
+    free = np.ones(n - 1, dtype=bool)
+    free[chain_steps] = False
+    par[pointer] = symbols[free]
+    return par
+
+
 def sample_uniform(n: int, rng: RandomSource) -> CayleyTree:
-    """Uniform tree among the n^(n-2) labeled trees, via i.i.d. Pruefer symbols."""
+    """Uniform tree among the n^(n-2) labeled trees, via i.i.d. Pruefer symbols.
+
+    From :data:`_ARRAY_DECODE_MIN` on the symbols are decoded in array
+    passes, and the tree keeps the parent array.
+    """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n <= 2:
         return prufer_decode([], n)
     symbols = rng.generator.integers(1, n + 1, size=n - 2)
+    if n >= _ARRAY_DECODE_MIN:
+        par = _decode_parents(symbols, n)
+        if par is not None:
+            return _ArrayTree(n, par)
     return prufer_decode(symbols.tolist(), n)
 
 

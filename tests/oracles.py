@@ -60,8 +60,7 @@ def greedy_reference(tree: CayleyTree, order: Sequence[int]) -> frozenset[int]:
 def peeling_active_set(tree: CayleyTree) -> frozenset[int]:
     """Active set of the greedy peeling, read from the final statuses of
     the array rounds that :func:`cayley_greedy.greedy_peeling` runs."""
-    par = np.fromiter(tree.parents, np.int64, count=tree.n - 1)
-    status = _greedy_statuses(tree, par)
+    status = _greedy_statuses(tree.parent_array)
     return frozenset(np.flatnonzero(status == VertexStatus.ACTIVE).tolist())
 
 

@@ -984,6 +984,29 @@ def test_statistics_on_shapes_that_stall_the_rounds(shape):
     assert max_independent_set(t) == _max_is_dp(t)
 
 
+def _statistics(t, order):
+    out = greedy_peeling(t)
+    return (out.size, out.steps, out.root_last), greedy_matching(t, order), \
+        max_independent_set(t)
+
+
+@pytest.mark.parametrize("share", [greedy._STALL_SHARE, 0.0])
+def test_statistics_only_read_the_parent_array(share, monkeypatch):
+    # the trees' arrays are read-only, so a write would raise; share 0
+    # sends everything after the first round to the tails
+    uniform = sample_uniform(3000, RandomSource(12).child(0))
+    cases = [(uniform, RandomSource(12).child(1).generator.permutation(np.arange(1, 3000)))]
+    cases += [(t, np.arange(1, t.n)) for t in SHAPES.values()]
+    want = [_statistics(t, order) for t, order in cases]
+    monkeypatch.setattr(greedy, "_STALL_SHARE", share)
+    for (t, order), expected in zip(cases, want):
+        par = t.parent_array
+        before = par.copy()
+        assert _statistics(t, order) == expected
+        assert not par.flags.writeable and np.array_equal(par, before)
+        assert t.parent_array is par
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

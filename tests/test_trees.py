@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_greedy import (
     CayleyTree,
@@ -26,8 +27,9 @@ from cayley_greedy import (
     sample_uniform,
     tree_count,
 )
+from cayley_greedy import trees
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
-from cayley_greedy.trees import _parent_batches, format_trees, read_trees
+from cayley_greedy.trees import _decode_parents, _parent_batches, format_trees, read_trees
 from oracles import first_repetition_law, first_repetition_time
 from strategies import parent_tables
 
@@ -598,6 +600,108 @@ def test_sampled_trees_pass_validation(sampler):
     for i, n in enumerate([1, 2, 3, 4, 7, 30, 31, 200, 1001]):
         t = sampler(n, rng.child(i))
         assert CayleyTree(t.n, t.parents) == t
+
+
+# ---------------------------------------------------------------------------
+# Pruefer decode in array passes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_decode_parents_equals_loop_exhaustive(n, monkeypatch):
+    # every sequence here settles within five passes (CHANGES.md records a
+    # one-off run over all of n = 8, which settled within five as well)
+    monkeypatch.setattr(trees, "_DECODE_PASSES", 5)
+    sequences = np.array(list(itertools.product(range(1, n + 1), repeat=n - 2)))
+    expected = np.concatenate(list(_parent_batches(n)))
+    for symbols, want in zip(sequences, expected):
+        assert _decode_parents(symbols, n).tolist() == want.tolist(), symbols
+
+
+def _zigzag(n):
+    """2, n - 1, 3, n - 2, ...: the most passes among the shapes tried."""
+    low, high = list(range(2, n)), list(range(n - 1, 1, -1))
+    return [x for pair in zip(low, high) for x in pair][:n - 2]
+
+
+@st.composite
+def _pruefer_sequences(draw):
+    n = draw(st.integers(min_value=3, max_value=200))
+    m = n - 2
+    kind = draw(st.sampled_from(
+        ["any", "zigzag", "decreasing", "increasing", "few symbols", "sorted"]))
+    if kind == "zigzag":
+        return n, _zigzag(n)
+    if kind == "decreasing":
+        return n, list(range(n - 1, n - 1 - m, -1))
+    if kind == "increasing":
+        return n, list(range(2, 2 + m))
+    if kind == "few symbols":
+        pool = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+        return n, draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    symbols = draw(st.lists(st.integers(1, n), min_size=m, max_size=m))
+    return n, sorted(symbols) if kind == "sorted" else symbols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pruefer_sequences())
+def test_decode_parents_equals_loop(case):
+    n, symbols = case
+    par = _decode_parents(np.array(symbols, dtype=np.int64), n)
+    assert par is not None
+    assert par.tolist() == list(prufer_decode(symbols, n).parents)
+
+
+@pytest.mark.parametrize("n", [1000, 10_000, 100_000])
+def test_decode_parents_equals_loop_on_shapes(n):
+    shapes = {
+        "zigzag": _zigzag(n),
+        "decreasing": list(range(n - 1, 1, -1)),
+        "increasing": list(range(2, n)),
+        "one symbol": [1] * (n - 2),
+        "sorted": sorted(RandomSource(n).generator.integers(1, n + 1, n - 2).tolist()),
+    }
+    for name, symbols in shapes.items():
+        par = _decode_parents(np.array(symbols, dtype=np.int64), n)
+        if par is None:
+            # past the pass cap: the zigzag and the decreasing sequence
+            # need 19 passes at n = 10^5
+            assert n == 100_000 and name in ("zigzag", "decreasing"), name
+            continue
+        assert par.tolist() == list(prufer_decode(symbols, n).parents), name
+
+
+def test_sample_uniform_falls_back_past_the_pass_cap(monkeypatch):
+    n = 2000
+    want = [sample_uniform(n, RandomSource(5).child(i)) for i in range(3)]
+    decoded = []
+
+    def counting(symbols, n=None):
+        decoded.append(len(symbols))
+        return prufer_decode(symbols, n)
+
+    monkeypatch.setattr(trees, "_DECODE_PASSES", 1)
+    monkeypatch.setattr(trees, "prufer_decode", counting)
+    got = [sample_uniform(n, RandomSource(5).child(i)) for i in range(3)]
+    assert decoded == [n - 2] * 3
+    assert got == want
+
+
+def test_array_tree_equals_its_tuple_twin():
+    n = 1000
+    built = sample_uniform(n, RandomSource(3).child(0))
+    assert type(built) is not CayleyTree  # the array decode's tree
+    twin = CayleyTree(n, built.parent_array.tolist())
+    assert built.parent_array.dtype == twin.parent_array.dtype == np.int64
+    assert built == twin and twin == built
+    assert hash(built) == hash(twin)
+    assert Counter([built, twin, built.parents, twin.parents]) == \
+        Counter({twin: 2, twin.parents: 2})
+    assert built.to_line() == twin.to_line()
+    assert repr(built) == repr(twin)
+    for tree in (built, twin):
+        clone = pickle.loads(pickle.dumps(tree))
+        assert clone == twin and hash(clone) == hash(twin)
+        assert not clone.parent_array.flags.writeable
 
 
 # ---------------------------------------------------------------------------
