@@ -46,7 +46,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -293,6 +293,18 @@ _LANE_DELTA = np.stack([
     CHAIN_DELTA[3] + CHAIN_DELTA[4],
 ])
 
+#: _chain_block's step as one product: for a lane whose draw clears the
+#: first k of its five thresholds, this matrix times the comparison column
+#: (k ones, 5 - k zeros) with a sixth entry 1 appended is _LANE_DELTA[:, k],
+#: since column j is the difference of table columns j + 1 and j, and the
+#: last column is table column 0
+_STEP_MATRIX = np.column_stack([
+    np.diff(_LANE_DELTA[:, :6], axis=1), _LANE_DELTA[:, 0],
+]).astype(np.float64)
+
+#: the most the pair weight p falls in one step of _chain_block
+_P_DROP = -int(_LANE_DELTA[0, :6].min())
+
 
 def chain_weights(u, c):
     """Weights times n of the pair column and the blue column, given c = ab + bb.
@@ -325,8 +337,10 @@ def simulate_status_chain_many(
     Replicates are processed in fixed-size blocks, each driven by its own
     child stream ``rng.child(block_index)``, so results are bit-for-bit
     reproducible for a given (seed, n, replicates) regardless of worker
-    count or block scheduling.
+    count or block scheduling.  ``n`` and ``replicates`` must be integers
+    (``operator.index``); anything else raises TypeError.
     """
+    n, replicates = index(n), index(replicates)
     if n < 1 or replicates < 1:
         raise ValueError("need n >= 1 and replicates >= 1")
     sizes = np.empty(replicates, dtype=np.int64)
@@ -352,57 +366,74 @@ def _chain_block(
 
     Lane i reads column i of each ``gen.random((draw_rows, width))`` batch,
     one row per step, so the draws are fixed by the block and not by which
-    lanes are still running.  A step costs under twenty array operations
-    over the live lanes:
+    lanes are still running.  The lane state is (p, aw, bw, ab, c), where p
+    is the pair weight of :func:`chain_weights` (u - 2 before the root
+    connects, u - 1 after) and c = ab + bb, held as exact integers in
+    float64 rows.  A step makes fourteen numpy calls over the live lanes,
+    and the done check and the draw gather below only when they are due:
 
-    * Column index.  Five rows of thresholds, summed in place row by row,
-      from the weights of :func:`chain_weights` as floats:
-      t1 = p/n, t2 = t1 + aw/n, t3 = t2 + bw/n, a guard row, then
-      t4 = guard + ab*(c+1)/(c*n).  The guard adds 1.0 before the root
-      connects, lifting the later thresholds past every draw (that regime's
-      weights sum to n only in exact arithmetic, so float dust could leave
-      a draw above t3 + 2/n), and 0.0 after, which leaves t4 as it was.
-      The column is the number of thresholds at or below the draw: 0..3
-      before the root connects, 0, 1, 2, 4, 5 after.
-    * Column table.  The lane state is (p, aw, bw, ab, c), where p is the
-      pair weight of :func:`chain_weights` (u - 2 before the root connects,
-      u - 1 after) and c = ab + bb; ``_LANE_DELTA`` is
-      :data:`CHAIN_DELTA` in those coordinates, and a step adds one column
-      of it to each lane with a single ``take``.
+    * Thresholds.  Five rows, summed in place row by row, from the weights
+      of :func:`chain_weights`: t1 = p/n, t2 = t1 + aw/n, t3 = t2 + bw/n, a
+      guard row, then t4 = guard + ab*(c+1)/(max(c,1)*n).  The guard adds
+      1.0 before the root connects, lifting the later thresholds past every
+      draw (that regime's weights sum to n only in exact arithmetic, so
+      float dust could leave a draw above t3 + 2/n), and 0.0 after, which
+      leaves t4 as it was.  These are the thresholds that int64 lane rows
+      gave, bit for bit: the counts are integers below 2**53, which
+      float64 holds exactly; ab*(c+1) and max(c,1)*n are rounded once in
+      float64, as the int64 products were when the division converted
+      them; and each division rounds its quotient once either way.  The
+      thresholds stay floats because integer ones would cut the same draws
+      at other points and so change every seeded output.
+    * Column.  The column is the number of thresholds at or below the
+      draw: 0..3 before the root connects, 0, 1, 2, 4, 5 after.  The
+      thresholds never decrease, so the comparison rows b1..b5 read
+      1, ..., 1, 0, ..., 0, and the step telescopes:
+      ``_LANE_DELTA[:, column] = D[:, 0] + sum_k b_k (D[:, k] - D[:, k-1])``
+      with D = ``_LANE_DELTA``.  The comparisons land in a float buffer
+      whose sixth row is ones, and one product with :data:`_STEP_MATRIX`
+      gives every lane's move.  Its terms are small integers times 0 or 1,
+      so the sum is exact in any order the BLAS picks.
     * Lane compaction.  A lane is done once p < 0: u == 0 after the root
       connected, or only the root left (u == 1, c == 0), whose forced
       root-last step is applied here.  Done lanes write size, stopping step
-      and root-last flag by their original index and leave the arrays.
-
-    The thresholds stay in floats because integer ones would sample from
-    different cut points of the same draws and so change every seeded
-    output.
+      and root-last flag by their original index and leave the arrays.  p
+      falls by at most :data:`_P_DROP` (2) a step, so after a check that
+      finds the smallest p at m >= 0 no lane can finish before
+      m // 2 + 1 more steps, and the check waits until then.  Until a lane
+      has left, the live lanes are all of them and read the draw row as
+      it is.
     """
-    state = np.zeros((5, width), dtype=np.int64)  # rows p, aw, bw, ab, c
+    state = np.zeros((5, width))  # rows p, aw, bw, ab, c
     state[0] = chain_weights(n, 0)[0]
     lanes = np.arange(width)
     sizes = np.empty(width, dtype=np.int64)
     theta = np.empty(width, dtype=np.int64)
     last = np.empty(width, dtype=np.int64)
-    t = np.empty((5, width))  # thresholds t1, t2, t3, guard, t4
-    step = 0
+    buf = np.ones((6, width))  # t1..t5, then b1..b5; the last row stays 1
+    step = next_check = 0
     while lanes.size:
         for row in gen.random((draw_rows, width)):
-            if state[0].min() < 0:
-                done = state[0] < 0
-                final = state[:, done]
-                root_last = final[4] == 0
-                final += _LANE_DELTA[:, [ChainColumn.ROOT_LAST]] * root_last
-                out = lanes[done]
-                sizes[out] = final[1] + final[3]
-                theta[out] = step + root_last
-                last[out] = root_last
-                keep = ~done
-                state = state[:, keep]
-                lanes = lanes[keep]
-                t = np.empty((5, lanes.size))
-                if not lanes.size:
-                    break
+            if step == next_check:
+                p_min = int(state[0].min())
+                next_check = step + 1 + max(p_min, 0) // _P_DROP
+                if p_min < 0:
+                    done = state[0] < 0
+                    final = state[:, done]
+                    root_last = final[4] == 0
+                    final += _LANE_DELTA[:, [ChainColumn.ROOT_LAST]] * root_last
+                    out = lanes[done]
+                    sizes[out] = final[1] + final[3]
+                    theta[out] = step + root_last
+                    last[out] = root_last
+                    keep = ~done
+                    state = state[:, keep]
+                    lanes = lanes[keep]
+                    if not lanes.size:
+                        break
+                    buf = np.ones((6, lanes.size))
+            x = row if lanes.size == width else row.take(lanes)
+            t = buf[:5]
             ab, c = state[3], state[4]
             np.divide(state[:3], n, out=t[:3])
             np.equal(c, 0, out=t[3])
@@ -411,8 +442,8 @@ def _chain_block(
             t[2] += t[1]
             t[3] += t[2]
             t[4] += t[3]
-            column = np.less_equal(t, row.take(lanes)).sum(axis=0, dtype=np.int8)
-            state += _LANE_DELTA.take(column, axis=1)
+            np.less_equal(t, x, out=t)
+            state += _STEP_MATRIX @ buf
             step += 1
     return sizes, theta, last
 

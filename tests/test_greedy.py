@@ -35,6 +35,9 @@ from cayley_greedy.greedy import (
     CHAIN_DELTA,
     ChainColumn,
     GreedyLaw,
+    _LANE_DELTA,
+    _P_DROP,
+    _STEP_MATRIX,
     _blue_split_weights,
     _chain_block,
     chain_weights,
@@ -290,6 +293,9 @@ class _Unread:
     def take(self, lanes):
         raise AssertionError("a lane read a draw past the preset ones")
 
+    def __array__(self, *args, **kwargs):  # a row read whole, before any lane left
+        self.take(None)
+
 
 class PresetDraws:
     """Stands in for np.random.Generator: ``random((rows, width))`` hands out
@@ -331,6 +337,19 @@ def test_chain_block_threshold_boundaries():
     # the root, whose forced root-last step reads no draw
     out = _chain_block(4, 1, PresetDraws([[0.1], [0.1]]), draw_rows=2)
     assert [int(x[0]) for x in out] == [2, 3, 1]
+
+
+def test_simulate_status_chain_needs_integer_sizes():
+    # without the check a float n runs a chain with fractional counts, and a
+    # float replicates fails deep inside numpy
+    with pytest.raises(TypeError):
+        simulate_status_chain_many(500.5, 5, RandomSource(0))
+    with pytest.raises(TypeError):
+        simulate_status_chain_many(500, 2.5, RandomSource(0))
+    numpy_ints = simulate_status_chain_many(np.int64(20), np.int64(20), RandomSource(3))
+    python_ints = simulate_status_chain_many(20, 20, RandomSource(3))
+    for a, b in zip(numpy_ints, python_ints):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
 
 
 def test_simulate_status_chain_small_sizes():
@@ -464,6 +483,59 @@ def test_chain_block_equals_masked_reference(width, draw_rows):
         ref = _masked_chain_block(n, width, np.random.default_rng(seed), draw_rows)
         for a, b in zip(new, ref):
             assert np.array_equal(a, b), (n, width, draw_rows)
+
+
+@pytest.mark.parametrize("draw_rows", [2, 3, 4, 5, 32])
+@pytest.mark.parametrize("n", [9, 10, 41, 42])
+def test_chain_block_skip_bound_is_tight(n, draw_rows):
+    # a draw of 0.0 takes the pair column whenever p > 0, so p falls by
+    # _P_DROP a step, the fastest any lane can finish: such lanes all retire
+    # in the step the skipped check comes back, next to lanes that take
+    # other columns; short draw batches put that step on a batch boundary
+    width = 12
+    rows = np.random.default_rng([n, draw_rows]).random((n + 1, width))
+    rows[:, :5] = 0.0
+    new = _chain_block(n, width, PresetDraws(rows), draw_rows)
+    ref = _masked_chain_block(n, width, PresetDraws(rows), draw_rows)
+    for a, b in zip(new, ref):
+        assert np.array_equal(a, b), (n, draw_rows)
+    fastest = 1 + (n - 2) // _P_DROP  # the first check after step 0
+    assert (new[1][:5] == fastest + 1).all()  # the forced root-last step
+    assert (new[2][:5] == 1).all()
+
+
+def _lane(state):
+    """_chain_block's lane coordinates (p, aw, bw, ab, c) of ``state``."""
+    u, aw, bw, ab, bb = state
+    return np.array([chain_weights(u, ab + bb)[0], aw, bw, ab, ab + bb])
+
+
+def test_step_matrix_reproduces_lane_table():
+    # a draw that clears the first k thresholds has comparisons k ones then
+    # zeros; with the row of ones appended, the product is table column k
+    def pattern(k):
+        return np.array([1.0] * k + [0.0] * (5 - k) + [1.0])
+
+    assert _P_DROP == 2
+    reached = set()
+    for n in range(1, 9):
+        for state in (StatusCounts(*s) for s in itertools.product(range(n + 1), repeat=5)):
+            u, aw, bw, ab, bb = state
+            if sum(state) != n or u < 1 or (ab == 0) != (bb == 0):
+                continue
+            for col in _regime_columns(state):
+                target = _lane(np.add(state, CHAIN_DELTA[:, col]))
+                if col == ChainColumn.ROOT_LAST:  # forced, applied when the lane retires
+                    moved = _lane(state) + _LANE_DELTA[:, col]
+                    assert (moved[1:] == target[1:]).all() and moved[0] < 0 and target[0] < 0
+                    continue
+                assert (_lane(state) + _STEP_MATRIX @ pattern(col) == target).all(), (state, col)
+                reached.add(int(col))
+    assert reached == set(range(6))
+    # one product over many lanes, as the kernel takes it, is exact
+    cols = np.random.default_rng(5).integers(0, 6, 10_000)
+    comparisons = np.stack([pattern(k) for k in cols], axis=1)
+    assert (_STEP_MATRIX @ comparisons == _LANE_DELTA[:, cols]).all()
 
 
 def _regime_columns(state):
