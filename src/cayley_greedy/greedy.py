@@ -236,6 +236,7 @@ def greedy_markov_peeling(n: int, rng: RandomSource):
     Returns (steps, outcome); the outcome triple has the same law as the
     status chain (:func:`simulate_status_chain_many`).
     """
+    n = index(n)
     if n < 1:
         raise ValueError("need at least one vertex")
     blue = [False] * n + [True]
@@ -455,34 +456,34 @@ def _chain_block(
 class GreedyLaw:
     """Exact joint law of (size, steps, root_last) for the status chain.
 
-    ``joint`` maps (size, steps, root_last) to an exact probability.  The
-    marginals, the normalisation check and the moments are sums of integers:
-    every probability is held as a numerator over one common denominator,
-    the lcm of the joint's denominators, and each result builds a single
-    Fraction from its summed numerator.
+    ``numerators`` maps (size, steps, root_last) to an integer numerator
+    over the one denominator ``den``, and they must sum to ``den``.  The
+    marginals and the moments are sums of these integers, each made a
+    Fraction once; :attr:`joint` gives every key's probability.
     """
 
-    def __init__(self, n: int, joint: dict[tuple[int, int, int], Fraction]):
+    def __init__(self, n: int, numerators: dict[tuple[int, int, int], int], den: int):
         self.n = n
-        self.joint = joint
-        den = math.lcm(*(p.denominator for p in joint.values()))
-        self._den = den
-        self._numerators = [
-            (key, p.numerator * (den // p.denominator)) for key, p in joint.items()
-        ]
-        total = self._law(lambda key: 0).get(0, 0)
-        if total != 1:
-            raise AssertionError(f"law does not normalize: {total}")
+        self.numerators = numerators
+        self.den = den
+        total = sum(numerators.values())
+        if total != den:
+            raise AssertionError(f"law does not normalize: {total}/{den}")
+
+    @property
+    def joint(self) -> dict[tuple[int, int, int], Fraction]:
+        """(size, steps, root_last) -> exact probability, built on each read."""
+        return {key: Fraction(num, self.den) for key, num in self.numerators.items()}
 
     def _sums(self, value: Callable[[tuple[int, int, int]], int]) -> dict[int, int]:
         """Summed numerators, over the common denominator, by ``value(key)``."""
         out: dict[int, int] = defaultdict(int)
-        for key, num in self._numerators:
+        for key, num in self.numerators.items():
             out[value(key)] += num
         return out
 
     def _law(self, value: Callable[[tuple[int, int, int]], int]) -> dict[int, Fraction]:
-        return {x: Fraction(num, self._den) for x, num in self._sums(value).items()}
+        return {x: Fraction(num, self.den) for x, num in self._sums(value).items()}
 
     def _power_sums(self, index: int) -> tuple[int, int]:
         """E[X] and E[X^2] times the common denominator, for X = key[index]."""
@@ -494,7 +495,7 @@ class GreedyLaw:
 
     def _variance(self, index: int) -> Fraction:
         s1, s2 = self._power_sums(index)
-        return Fraction(s2 * self._den - s1 * s1, self._den ** 2)
+        return Fraction(s2 * self.den - s1 * s1, self.den ** 2)
 
     def size_law(self) -> dict[int, Fraction]:
         return self._law(itemgetter(0))
@@ -511,13 +512,13 @@ class GreedyLaw:
         return self._law(lambda key: (n - key[0]) + key[2])
 
     def size_mean(self) -> Fraction:
-        return Fraction(self._power_sums(0)[0], self._den)
+        return Fraction(self._power_sums(0)[0], self.den)
 
     def size_variance(self) -> Fraction:
         return self._variance(0)
 
     def steps_mean(self) -> Fraction:
-        return Fraction(self._power_sums(1)[0], self._den)
+        return Fraction(self._power_sums(1)[0], self.den)
 
     def steps_variance(self) -> Fraction:
         return self._variance(1)
@@ -629,12 +630,13 @@ def exact_chain_law(n: int) -> GreedyLaw:
       own c, whose denominator is (c - 1)!.  The partial row is scaled by
       (cmax - 1)!/(c - 1)! as it is added to the row of its root-last flag
       e, so every joint key with stopping step theta sums its numerator
-      over the one denominator n^theta * (cmax - 1)!.  Each (e, size) int
-      is unpacked once, and a Fraction is built once per joint key.
+      over n^theta * (cmax - 1)!.  Each (e, size) int is unpacked once,
+      and slot d's numerators are scaled by n^d to n^n * (cmax - 1)!.
 
     Cross-checked against the full five-count chain and against exhaustive
     tree enumeration in the test suite.
     """
+    n = index(n)
     limit = _cap(DEFAULT_LAW_CAP)
     if n > limit:
         raise ValueError(f"n={n} above the exact-law cap {limit}")
@@ -662,16 +664,16 @@ def exact_chain_law(n: int) -> GreedyLaw:
         for g, x in enumerate(partial):
             if x:
                 acc[g] += x * scale
-    dens = [n ** (n - d) * top for d in range(slots)]
-    joint = {}
+    scales = [n ** d for d in range(slots)]
+    numerators = {}
     for e, acc in enumerate(numer):
         for g, x in enumerate(acc):
             packed = x.to_bytes(slots * wide, "little")
-            for d, den in enumerate(dens):
+            for d, scale in enumerate(scales):
                 num = int.from_bytes(packed[d * wide:(d + 1) * wide], "little")
                 if num:
-                    joint[(g, n - d, e)] = Fraction(num, den)
-    return GreedyLaw(n, joint)
+                    numerators[(g, n - d, e)] = num * scale
+    return GreedyLaw(n, numerators, n ** n * top)
 
 
 def enumeration_law(n: int) -> GreedyLaw:
@@ -687,6 +689,7 @@ def enumeration_law(n: int) -> GreedyLaw:
     flag; the (size, steps, root_last) triples are tallied with
     ``bincount``.  Refuses the n that :func:`enumerate_all` refuses.
     """
+    n = index(n)
     v_after = np.frombuffer(_V_AFTER, dtype=np.uint8)
     counts = np.zeros((n + 1) * (n + 1) * 2, dtype=np.int64)  # by (g, theta, e)
     for parents in _parent_batches(n):
@@ -708,12 +711,11 @@ def enumeration_law(n: int) -> GreedyLaw:
         counts += np.bincount(
             (sizes * (n + 1) + steps + root_last) * 2 + root_last,
             minlength=counts.size)
-    total = tree_count(n)
     table = counts.reshape(n + 1, n + 1, 2)
     return GreedyLaw(n, {
-        key: Fraction(table[key].item(), total)
+        key: table[key].item()
         for key in zip(*(axis.tolist() for axis in np.nonzero(table)))
-    })
+    }, tree_count(n))
 
 
 def total_variation_exact(

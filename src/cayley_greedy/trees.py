@@ -352,18 +352,19 @@ class CayleyTree:
 
     ``parents[v - 1]`` is the parent of vertex ``v`` for ``1 <= v <= n - 1``;
     the root n has no parent.  :attr:`parent_array` holds the same table
-    as a read-only int64 array.  Instances are immutable and hashable.
+    as a read-only int64 array.  A tree holds one of the two and makes the
+    other on first use.  Instances are immutable and hashable.
 
     ``CayleyTree(n, parents)``, :meth:`from_line` and :func:`read_trees`
     check labels and reject cycles.  Trees the library builds itself
     (:func:`prufer_decode`, :func:`pitman_sample`,
     :func:`aldous_broder_sample` and ``peeling.peel_markov``) are valid by
     construction and come from :meth:`_trusted`, which skips that check;
-    :func:`sample_uniform` at large n builds an :class:`_ArrayTree` from
-    its decoded parent array.
+    :func:`sample_uniform` at large n keeps its decoded parent array
+    (:meth:`_from_array`).
     """
 
-    __slots__ = ("n", "parents", "_array")
+    __slots__ = ("n", "_parents", "_array")
 
     def __init__(self, n: int, parents: Sequence[int]):
         parents = tuple(parents)
@@ -372,7 +373,7 @@ class CayleyTree:
         if len(parents) != n - 1:
             raise ValueError(f"expected {n - 1} parent entries, got {len(parents)}")
         self.n = n
-        self.parents = parents
+        self._parents = parents
         self._validate()
 
     @classmethod
@@ -380,12 +381,21 @@ class CayleyTree:
         """A tree built by the library itself; no validation."""
         tree = object.__new__(cls)
         tree.n = n
-        tree.parents = tuple(parents)
+        tree._parents = tuple(parents)
+        return tree
+
+    @classmethod
+    def _from_array(cls, n: int, array: np.ndarray) -> "CayleyTree":
+        """A tree built by the library from its int64 parent array, made read-only."""
+        array.flags.writeable = False
+        tree = object.__new__(cls)
+        tree.n = n
+        tree._array = array
         return tree
 
     def _validate(self) -> None:
         n = self.n
-        for p in self.parents:
+        for p in self._parents:
             if not 1 <= p <= n:
                 raise ValueError(f"parent label {p} outside 1..{n}")
         # depth resolution doubles as a cycle check
@@ -396,7 +406,7 @@ class CayleyTree:
             x = v
             while depth[x] < 0:
                 path.append(x)
-                x = self.parents[x - 1]
+                x = self._parents[x - 1]
                 if len(path) > n:
                     raise ValueError("parent map contains a cycle")
             d = depth[x]
@@ -405,14 +415,22 @@ class CayleyTree:
                 depth[y] = d
 
     @property
+    def parents(self) -> tuple[int, ...]:
+        """The parent table as a tuple, made from :attr:`parent_array` on first use."""
+        try:
+            return self._parents
+        except AttributeError:
+            parents = self._parents = tuple(self._array.tolist())
+            return parents
+
+    @property
     def parent_array(self) -> np.ndarray:
         """``parents`` as a read-only int64 array, made on first use."""
         try:
             return self._array
         except AttributeError:
-            array = np.fromiter(self.parents, np.int64, count=self.n - 1)
+            array = self._array = np.fromiter(self._parents, np.int64, count=self.n - 1)
             array.flags.writeable = False
-            self._array = array
             return array
 
     def parent_of(self, v: int) -> int:
@@ -450,36 +468,11 @@ class CayleyTree:
         return hash((self.n, self.parents))
 
     def __reduce__(self):
-        # a plain tree from its tuple, so a clone's array is read-only too
+        # from the tuple; a clone makes its read-only array on first use
         return CayleyTree._trusted, (self.n, self.parents)
 
     def __repr__(self) -> str:
         return f"CayleyTree(n={self.n}, parents={self.parents})"
-
-
-class _ArrayTree(CayleyTree):
-    """A tree built from its parent array; ``parents`` is made on first read.
-
-    A subclass, so that :class:`CayleyTree` keeps ``parents`` a plain slot:
-    explorations build many small trees with :meth:`CayleyTree._trusted`
-    and read ``parents`` once each, and a lazy ``parents`` there would
-    slow both.
-    """
-
-    __slots__ = ("_parents",)
-
-    def __init__(self, n: int, array: np.ndarray):
-        array.flags.writeable = False
-        self.n = n
-        self._array = array
-
-    @property
-    def parents(self) -> tuple[int, ...]:
-        try:
-            return self._parents
-        except AttributeError:
-            self._parents = tuple(self._array.tolist())
-            return self._parents
 
 
 def format_trees(trees: Iterable[CayleyTree]) -> str:
@@ -666,6 +659,7 @@ def sample_uniform(n: int, rng: RandomSource) -> CayleyTree:
     From :data:`_ARRAY_DECODE_MIN` on the symbols are decoded in array
     passes, and the tree keeps the parent array.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need at least one vertex")
     if n <= 2:
@@ -674,7 +668,7 @@ def sample_uniform(n: int, rng: RandomSource) -> CayleyTree:
     if n >= _ARRAY_DECODE_MIN:
         par = _decode_parents(symbols, n)
         if par is not None:
-            return _ArrayTree(n, par)
+            return CayleyTree._from_array(n, par)
     return prufer_decode(symbols.tolist(), n)
 
 

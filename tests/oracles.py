@@ -6,7 +6,8 @@ library against.
 * :class:`StatusCounts`, :func:`chain_transitions` and
   :func:`reference_chain_law` -- the full five-count status chain in
   rationals, against the packed DP :func:`cayley_greedy.exact_chain_law`;
-  :func:`status_count_trace` gives the same counts along one tree.
+  :func:`status_count_trace` gives the same counts along one tree, and
+  :func:`law_from_fractions` holds a law in rationals as a ``GreedyLaw``.
 * :func:`_root_avoiding_survival` -- P(root last) by the chain conditioned
   never to connect the root.
 * :func:`first_repetition_time` and :func:`first_repetition_law` -- the
@@ -16,9 +17,10 @@ library against.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,13 +145,21 @@ def chain_transitions(
     return [(p, s) for p, s in cols if p]
 
 
+def law_from_fractions(n: int, joint: Mapping[tuple[int, int, int], Fraction]) -> GreedyLaw:
+    """The law of exact probabilities ``joint``, held as integer numerators
+    over the lcm of their denominators."""
+    den = math.lcm(*(p.denominator for p in joint.values()))
+    return GreedyLaw(
+        n, {key: p.numerator * (den // p.denominator) for key, p in joint.items()}, den)
+
+
 def reference_chain_law(n: int) -> GreedyLaw:
     """Joint law from the full five-count chain, Fractions throughout.
 
     Slow but direct: used to cross-check :func:`exact_chain_law`.
     """
     if n == 1:
-        return GreedyLaw(1, {(1, 1, 1): Fraction(1)})
+        return law_from_fractions(1, {(1, 1, 1): Fraction(1)})
     dist: dict[StatusCounts, Fraction] = {StatusCounts(n, 0, 0, 0, 0): Fraction(1)}
     joint: dict[tuple[int, int, int], Fraction] = defaultdict(Fraction)
     step = 0
@@ -169,7 +179,7 @@ def reference_chain_law(n: int) -> GreedyLaw:
                 else:
                     nxt[target] += p * q
         dist = dict(nxt)
-    return GreedyLaw(n, dict(joint))
+    return law_from_fractions(n, joint)
 
 
 def _root_avoiding_survival(n: int) -> Fraction:

@@ -54,6 +54,7 @@ from oracles import (
     _root_avoiding_survival,
     chain_transitions,
     greedy_reference,
+    law_from_fractions,
     peeling_active_set,
     reference_chain_law,
     status_count_trace,
@@ -350,6 +351,27 @@ def test_simulate_status_chain_needs_integer_sizes():
     python_ints = simulate_status_chain_many(20, 20, RandomSource(3))
     for a, b in zip(numpy_ints, python_ints):
         assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+#: a size and a call of each other entry point that reads a size through
+#: operator.index; sample_uniform decodes in array passes from n = 500
+SIZED_CALLS = {
+    "exact_chain_law": (6, lambda n: exact_chain_law(n).joint),
+    "enumeration_law": (6, lambda n: enumeration_law(n).joint),
+    "greedy_markov_peeling": (20, lambda n: greedy_markov_peeling(n, RandomSource(5))),
+    "sample_uniform_loop": (20, lambda n: sample_uniform(n, RandomSource(5))),
+    "sample_uniform_array": (600, lambda n: sample_uniform(n, RandomSource(5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_CALLS))
+def test_sizes_must_be_integers(name):
+    # without the check a float fails deep inside, with a message that does
+    # not name n, and the DP fails on a numpy integer too (no bit_length)
+    n, call = SIZED_CALLS[name]
+    with pytest.raises(TypeError):
+        call(n + 0.5)
+    assert call(np.int64(n)) == call(n)
 
 
 def test_simulate_status_chain_small_sizes():
@@ -787,10 +809,28 @@ def test_law_integer_sums_equal_fraction_sums(source, sizes):
         assert all(type(x) is Fraction for x in _fractions_in(got)), n
 
 
+@pytest.mark.parametrize("source,sizes", [
+    (exact_chain_law, range(1, 13)),
+    (enumeration_law, range(1, 8)),
+], ids=["dp", "enumeration"])
+def test_law_holds_integer_numerators_over_one_denominator(source, sizes):
+    for n in sizes:
+        law = source(n)
+        nums, den = law.numerators, law.den
+        assert type(den) is int and all(type(x) is int and x > 0 for x in nums.values()), n
+        assert sum(nums.values()) == den, n
+        joint = law.joint
+        assert list(joint) == list(nums), n
+        assert all(joint[key] == Fraction(num, den) for key, num in nums.items()), n
+        if source is enumeration_law:
+            assert den == tree_count(n), n
+
+
 def test_law_integer_sums_over_an_lcm_no_term_has():
     # the common denominator 30 is none of the joint's denominators
-    law = GreedyLaw(3, {(1, 2, 0): Fraction(1, 6), (2, 2, 0): Fraction(1, 10),
-                        (2, 3, 1): Fraction(11, 15)})
+    law = law_from_fractions(3, {(1, 2, 0): Fraction(1, 6), (2, 2, 0): Fraction(1, 10),
+                                 (2, 3, 1): Fraction(11, 15)})
+    assert law.den == 30
     assert _library_summary(law) == _fraction_sum_summary(law)
     assert law.size_law() == {1: Fraction(1, 6), 2: Fraction(5, 6)}
     assert law.root_last_probability() == Fraction(11, 15)
@@ -798,12 +838,13 @@ def test_law_integer_sums_over_an_lcm_no_term_has():
 
 @pytest.mark.parametrize("n", [2, 5, 12, 30])
 def test_law_short_of_one_does_not_normalize(n):
-    joint = dict(exact_chain_law(n).joint)
-    key = max(joint, key=joint.get)
-    joint[key] -= Fraction(1, n ** 3)
-    assert sum(joint.values()) == 1 - Fraction(1, n ** 3)
+    law = exact_chain_law(n)
+    numerators = dict(law.numerators)
+    key = max(numerators, key=numerators.get)
+    numerators[key] -= 1
+    assert sum(numerators.values()) == law.den - 1
     with pytest.raises(AssertionError, match="does not normalize"):
-        GreedyLaw(n, joint)
+        GreedyLaw(n, numerators, law.den)
 
 
 def test_blue_split_weights_sum_to_factorial():

@@ -689,9 +689,14 @@ def test_sample_uniform_falls_back_past_the_pass_cap(monkeypatch):
 def test_array_tree_equals_its_tuple_twin():
     n = 1000
     built = sample_uniform(n, RandomSource(3).child(0))
-    assert type(built) is not CayleyTree  # the array decode's tree
     twin = CayleyTree(n, built.parent_array.tolist())
+    # each view is made from the other on first use: the decoded tree
+    # holds no tuple, and the list-built one no array, until it is read
+    assert type(built) is type(twin) is CayleyTree
+    assert not hasattr(built, "_parents") and not hasattr(twin, "_array")
+    assert built.parents == twin.parents and not hasattr(twin, "_array")
     assert built.parent_array.dtype == twin.parent_array.dtype == np.int64
+    assert built.parents is built.parents and twin.parent_array is twin.parent_array
     assert built == twin and twin == built
     assert hash(built) == hash(twin)
     assert Counter([built, twin, built.parents, twin.parents]) == \
