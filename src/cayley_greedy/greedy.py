@@ -326,6 +326,9 @@ def chain_weights(u, c):
 #: results independent of how many workers process the blocks
 CHAIN_BLOCK = 8192
 
+#: draw rows per ``gen.random`` batch of :func:`_chain_block`, one per step
+_DRAW_ROWS = 32
+
 
 def simulate_status_chain_many(
     n: int,
@@ -361,11 +364,11 @@ def simulate_status_chain_many(
 
 
 def _chain_block(
-    n: int, width: int, gen: np.random.Generator, draw_rows: int = 32
+    n: int, width: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``width`` replicates of the status chain, one lane each.
 
-    Lane i reads column i of each ``gen.random((draw_rows, width))`` batch,
+    Lane i reads column i of each ``gen.random((_DRAW_ROWS, width))`` batch,
     one row per step, so the draws are fixed by the block and not by which
     lanes are still running.  The lane state is (p, aw, bw, ab, c), where p
     is the pair weight of :func:`chain_weights` (u - 2 before the root
@@ -414,7 +417,7 @@ def _chain_block(
     buf = np.ones((6, width))  # t1..t5, then b1..b5; the last row stays 1
     step = next_check = 0
     while lanes.size:
-        for row in gen.random((draw_rows, width)):
+        for row in gen.random((_DRAW_ROWS, width)):
             if step == next_check:
                 p_min = int(state[0].min())
                 next_check = step + 1 + max(p_min, 0) // _P_DROP
@@ -527,17 +530,18 @@ class GreedyLaw:
 def _blue_split_weights(cmax: int) -> dict[int, dict[int, int]]:
     """Integer weights for the law of the blue-active count given c blues.
 
-    After the root connection the blue pair starts at (1 active, 1 blocked)
-    and each later blue arrival joins the opposite kind of its parent:
-    given (a, c - a), the active count stays w.p. a/c and grows w.p.
-    (c - a)/c.  Weights at c have denominator (c-1)!.
+    From the one active blue at c = 1 (the root, when it activates last)
+    each blue arrival joins the opposite kind of its parent: given
+    (a, c - a), the active count stays w.p. a/c and grows w.p. (c - a)/c.
+    Weights at c are positive and sum to (c - 1)!, their denominator.
     """
-    table = {2: {1: 1}}
-    for c in range(2, cmax):
+    table = {1: {1: 1}}
+    for c in range(1, cmax):
         nxt: dict[int, int] = defaultdict(int)
         for a, w in table[c].items():
             nxt[a] += w * a
-            nxt[a + 1] += w * (c - a)
+            if c - a:
+                nxt[a + 1] += w * (c - a)
         table[c + 1] = dict(nxt)
     return table
 
@@ -547,9 +551,11 @@ def _absorbed_rows(n: int, width: int) -> dict[int, list[int]]:
 
     Rows are keyed by (undetermined u, blue count c) and indexed by the
     active-white count; each entry packs the step axis into slots of
-    ``width`` bytes (see :func:`exact_chain_law`).  Layers are processed in
-    decreasing u and each row is dropped as it is processed, so only
-    layers u - 1 and u - 2 stay live besides the absorbed rows.
+    ``width`` bytes, numerators over n^(n - u) at layer u (see
+    :func:`exact_chain_law`).  ``width`` 0 merges the slots: the step-free
+    law.  Layers are processed in decreasing u and each row is dropped as
+    it is processed, so only layers u - 1 and u - 2 stay live besides the
+    absorbed rows.
     """
     shift = 8 * width
     # layers[u]: c -> packed weights by active_white; a row is made only
@@ -578,6 +584,9 @@ def _absorbed_rows(n: int, width: int) -> dict[int, list[int]]:
             pair = row(u - 2, c) if pair_w else None
             free = n - u - c  # active_white + blocked_white
             white = row(u - 1, c) if free else None
+            pair_w *= n  # two layers down: one more factor n
+            if not c:  # the root connection, two layers down too
+                blue_w *= n
             for aw, w in enumerate(ws):
                 if not w:
                     continue
@@ -617,21 +626,21 @@ def exact_chain_law(n: int) -> GreedyLaw:
       and paths of different lengths that reach the same state are merged.
     * Packed step axis.  Each row entry is one Python int.  Its slot d
       holds the weight of the paths with d two-vertex moves (the pair move
-      and the root connection) as a numerator over n^theta, where
-      theta = n - u - d is the number of steps taken.  The slot width B is
-      the bit length of n^n rounded up to whole bytes; no slot can exceed
-      n^theta <= n^n, so slots never carry into each other.  A one-vertex
-      move multiplies the int by its :func:`chain_weights` weight, and a
-      two-vertex move also shifts it left by B.  The forced root-last move
-      from (1, 0) multiplies the row by n.
-    * Assembly.  Each absorbed row with c blues is widened, by byte
+      and the root connection), which took theta = n - u - d steps, as a
+      numerator over n^(n - u): every slot of layer u shares one
+      denominator.  The slot width B is the bit length of n^n rounded up
+      to whole bytes; no slot can exceed n^(n - u) <= n^n, so slots never
+      carry into each other.  A move multiplies the int by its
+      :func:`chain_weights` weight; a two-vertex move lands two layers
+      down, so it also multiplies by n and shifts the int left by B.  The
+      forced root-last move from (1, 0) multiplies the row by n.
+    * Assembly.  Each absorbed entry with c blues is widened, by byte
       padding, to slots of B2 >= bits(n^n * (cmax - 1)!), where cmax is
-      the largest blue count, and convolved with the split weights of its
-      own c, whose denominator is (c - 1)!.  The partial row is scaled by
-      (cmax - 1)!/(c - 1)! as it is added to the row of its root-last flag
-      e, so every joint key with stopping step theta sums its numerator
-      over n^theta * (cmax - 1)!.  Each (e, size) int is unpacked once,
-      and slot d's numerators are scaled by n^d to n^n * (cmax - 1)!.
+      the largest blue count, multiplied by (cmax - 1)!/(c - 1)!, and
+      added, times each split weight of its own c, to the row of its
+      root-last flag e (c == 1).  The split weights at c sum to (c - 1)!,
+      so every slot then holds a numerator over n^n * (cmax - 1)!, and
+      each (e, size) int is unpacked once, slot d giving step n - d.
 
     Cross-checked against the full five-count chain and against exhaustive
     tree enumeration in the test suite.
@@ -649,30 +658,26 @@ def exact_chain_law(n: int) -> GreedyLaw:
     wide = -(-(n ** n * top).bit_length() // 8)  # B2, in bytes
     slots = n // 2 + 1  # at most n/2 two-vertex moves
     split = _blue_split_weights(cmax)
-    split[1] = {1: 1}  # root last: the root itself is the one blue active
     # numer[e][g]: slot d holds the numerator of P(size g, steps n - d,
-    # root_last e) over n^(n - d) * top
+    # root_last e) over n^n * top
     numer = [[0] * (n + 1), [0] * (n + 1)]
     for c, ws in absorbed.items():
-        nonzero = [(aw, _widen(w, slots, width, wide)) for aw, w in enumerate(ws) if w]
-        partial = [0] * (n + 1)
-        for a, s in split[c].items():
-            for aw, w in nonzero:
-                partial[aw + a] += w * s
         scale = top // math.factorial(c - 1)
         acc = numer[c == 1]
-        for g, x in enumerate(partial):
-            if x:
-                acc[g] += x * scale
-    scales = [n ** d for d in range(slots)]
+        weights = split[c].items()
+        for aw, w in enumerate(ws):
+            if w:
+                w = _widen(w, slots, width, wide) * scale
+                for a, s in weights:
+                    acc[aw + a] += w * s
     numerators = {}
     for e, acc in enumerate(numer):
         for g, x in enumerate(acc):
             packed = x.to_bytes(slots * wide, "little")
-            for d, scale in enumerate(scales):
+            for d in range(slots):
                 num = int.from_bytes(packed[d * wide:(d + 1) * wide], "little")
                 if num:
-                    numerators[(g, n - d, e)] = num * scale
+                    numerators[(g, n - d, e)] = num
     return GreedyLaw(n, numerators, n ** n * top)
 
 

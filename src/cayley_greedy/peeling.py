@@ -39,7 +39,7 @@ class ForestState:
     """Colored rooted forest over {1..n}, with quick-find component tracking.
 
     ``_rep[v]`` is the representative of v's component, and each
-    representative knows its component's size, root vertex and members.
+    representative knows its component's root vertex and members.
     Vertex n always sits in the unique blue component, so a vertex is blue
     exactly when it shares n's representative.  Merges relabel the smaller
     member list into the larger, so a vertex is relabeled O(log n) times and
@@ -48,7 +48,7 @@ class ForestState:
     """
 
     __slots__ = (
-        "n", "edge_count", "_rep", "_size", "_root", "_members",
+        "n", "edge_count", "_rep", "_root", "_members",
         "_white_roots", "_white_pos",
     )
 
@@ -58,7 +58,6 @@ class ForestState:
         self.n = n
         self.edge_count = 0
         self._rep = list(range(n + 1))
-        self._size = [1] * (n + 1)
         self._root = list(range(n + 1))  # tree-root vertex per representative
         self._members = [[v] for v in range(n + 1)]
         self._white_roots = list(range(1, n))
@@ -74,7 +73,7 @@ class ForestState:
 
     @property
     def blue_size(self) -> int:
-        return self._size[self._rep[self.n]]
+        return len(self._members[self._rep[self.n]])
 
     @property
     def white_root_count(self) -> int:
@@ -102,14 +101,13 @@ class ForestState:
         to_blue = r2 == rep[self.n]
         new_root = self._root[r2]
         # merge by size: the smaller member list is relabeled and folded in
-        if self._size[r1] < self._size[r2]:
+        if len(self._members[r1]) < len(self._members[r2]):
             small, big = r1, r2
         else:
             small, big = r2, r1
         moved = self._members[small]
         for u in moved:
             rep[u] = big
-        self._size[big] += self._size[small]
         self._members[big].extend(moved)
         self._members[small] = []
         self._root[big] = new_root
@@ -197,11 +195,12 @@ def _markov_attach(state: ForestState, v: int, rng: RandomSource) -> PeelStep:
     rep = state._rep
     blue = rep[n]
     own = rep[v]
-    ell = state._size[blue]
-    m = state._size[own]
+    blues = state._members[blue]
+    ell = len(blues)
+    m = len(state._members[own])
     _check_transition_weights(n, ell, m)
     if rng.uniform() < (ell + m) / n:
-        parent = state._members[blue][rng.integer(0, ell)]
+        parent = blues[rng.integer(0, ell)]
     else:
         # uniform white vertex outside v's component via rejection; given
         # that this class was drawn, the expected number of tries is

@@ -172,7 +172,7 @@ class ExperimentReport:
     tolerance: float
     lower: float = field(default=math.nan)
     upper: float = field(default=math.nan)
-    passed: bool = field(default=False)
+    passed: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if math.isnan(self.lower):

@@ -438,14 +438,6 @@ class CayleyTree:
             raise ValueError("the root has no parent")
         return self.parents[v - 1]
 
-    def adjacency(self) -> list[list[int]]:
-        """Undirected neighbour lists, 1-indexed."""
-        out: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for v, p in enumerate(self.parents, start=1):
-            out[p].append(v)
-            out[v].append(p)
-        return out
-
     def to_line(self) -> str:
         """Serialize as ``n;p(1),p(2),...,p(n-1)``."""
         return f"{self.n};{','.join(str(p) for p in self.parents)}"
@@ -541,24 +533,27 @@ def prufer_encode(tree: CayleyTree) -> list[int]:
         raise ValueError("encoding needs at least two vertices")
     if n == 2:
         return []
-    adj = tree.adjacency()
-    degree = [len(a) for a in adj]
-    removed = bytearray(n + 1)
-    out: list[int] = []
+    # the decode's pointer scan: what remains always holds n and the parent
+    # of every vertex it holds, so a leaf's one remaining neighbour is its
+    # parent.  The root's degree is its child count.
+    parents = tree.parents
+    degree = [1] * (n + 1)
+    degree[n] = 0
+    for p in parents:
+        degree[p] += 1
+    out = [0] * (n - 2)
     ptr = 1
     while degree[ptr] != 1:
         ptr += 1
     leaf = ptr
-    for _ in range(n - 2):
-        nb = next(x for x in adj[leaf] if not removed[x])
-        out.append(nb)
-        removed[leaf] = 1
-        degree[nb] -= 1
-        if degree[nb] == 1 and nb < ptr:
-            leaf = nb
+    for j in range(n - 2):
+        p = out[j] = parents[leaf - 1]
+        degree[p] -= 1
+        if degree[p] == 1 and p < ptr:
+            leaf = p
         else:
             ptr += 1
-            while degree[ptr] != 1 or removed[ptr]:
+            while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
     return out

@@ -1,8 +1,9 @@
 """Cross-check oracles: slow, direct formulations that the tests compare the
 library against.
 
-* :func:`greedy_reference` -- the textbook greedy sweep, against the
-  active set of the peeling's array rounds, :func:`peeling_active_set`.
+* :func:`greedy_reference` -- the textbook greedy sweep over the
+  neighbour lists of :func:`adjacency`, against the active set of the
+  peeling's array rounds, :func:`peeling_active_set`.
 * :class:`StatusCounts`, :func:`chain_transitions` and
   :func:`reference_chain_law` -- the full five-count status chain in
   rationals, against the packed DP :func:`cayley_greedy.exact_chain_law`;
@@ -36,6 +37,15 @@ from cayley_greedy.greedy import (
 from cayley_greedy.trees import CayleyTree, RandomSource
 
 
+def adjacency(tree: CayleyTree) -> list[list[int]]:
+    """Undirected neighbour lists, 1-indexed."""
+    out: list[list[int]] = [[] for _ in range(tree.n + 1)]
+    for v, p in enumerate(tree.parents, start=1):
+        out[p].append(v)
+        out[v].append(p)
+    return out
+
+
 def greedy_reference(tree: CayleyTree, order: Sequence[int]) -> frozenset[int]:
     """Maximal independent set built by inspecting vertices in ``order``.
 
@@ -45,7 +55,7 @@ def greedy_reference(tree: CayleyTree, order: Sequence[int]) -> frozenset[int]:
     n = tree.n
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
-    adj = tree.adjacency()
+    adj = adjacency(tree)
     status = [VertexStatus.UNDETERMINED] * (n + 1)
     active = []
     for v in order:

@@ -38,6 +38,7 @@ from cayley_greedy.greedy import (
     _LANE_DELTA,
     _P_DROP,
     _STEP_MATRIX,
+    _absorbed_rows,
     _blue_split_weights,
     _chain_block,
     chain_weights,
@@ -52,6 +53,7 @@ from cayley_greedy.stats import EmpiricalDistribution
 from oracles import (
     StatusCounts,
     _root_avoiding_survival,
+    adjacency,
     chain_transitions,
     greedy_reference,
     law_from_fractions,
@@ -94,7 +96,7 @@ def _is_independent(tree, vertices):
 
 
 def _is_maximal(tree, vertices):
-    adj = tree.adjacency()
+    adj = adjacency(tree)
     return all(
         v in vertices or any(w in vertices for w in adj[v])
         for v in range(1, tree.n + 1)
@@ -311,7 +313,7 @@ class PresetDraws:
         return batch + [_Unread()] * (shape[0] - len(batch))
 
 
-def test_chain_block_threshold_boundaries():
+def test_chain_block_threshold_boundaries(monkeypatch):
     def below(t):
         return np.nextafter(t, 0)
 
@@ -332,11 +334,13 @@ def test_chain_block_threshold_boundaries():
         ([0.75, 0.625, 0.9], (3, 3, 0)),
     ]
     rows = np.array([draws for draws, _ in lanes]).T
-    out = _chain_block(4, len(lanes), PresetDraws(rows), draw_rows=4)
+    monkeypatch.setattr(greedy, "_DRAW_ROWS", 4)
+    out = _chain_block(4, len(lanes), PresetDraws(rows))
     assert [tuple(int(x) for x in o) for o in zip(*out)] == [o for _, o in lanes]
     # the pair column, then the active-white parent (0.1 < 1/4), leave only
     # the root, whose forced root-last step reads no draw
-    out = _chain_block(4, 1, PresetDraws([[0.1], [0.1]]), draw_rows=2)
+    monkeypatch.setattr(greedy, "_DRAW_ROWS", 2)
+    out = _chain_block(4, 1, PresetDraws([[0.1], [0.1]]))
     assert [int(x[0]) for x in out] == [2, 3, 1]
 
 
@@ -497,11 +501,12 @@ def _masked_chain_block(n, width, gen, draw_rows=256):
 
 
 @pytest.mark.parametrize("width,draw_rows", [(1, 256), (7, 3), (64, 256), (300, 5)])
-def test_chain_block_equals_masked_reference(width, draw_rows):
+def test_chain_block_equals_masked_reference(width, draw_rows, monkeypatch):
     # short draw batches make lanes retire across batch boundaries
+    monkeypatch.setattr(greedy, "_DRAW_ROWS", draw_rows)
     for n in [*range(1, 41), 97, 250]:
         seed = [n, width, draw_rows]
-        new = _chain_block(n, width, np.random.default_rng(seed), draw_rows)
+        new = _chain_block(n, width, np.random.default_rng(seed))
         ref = _masked_chain_block(n, width, np.random.default_rng(seed), draw_rows)
         for a, b in zip(new, ref):
             assert np.array_equal(a, b), (n, width, draw_rows)
@@ -509,7 +514,7 @@ def test_chain_block_equals_masked_reference(width, draw_rows):
 
 @pytest.mark.parametrize("draw_rows", [2, 3, 4, 5, 32])
 @pytest.mark.parametrize("n", [9, 10, 41, 42])
-def test_chain_block_skip_bound_is_tight(n, draw_rows):
+def test_chain_block_skip_bound_is_tight(n, draw_rows, monkeypatch):
     # a draw of 0.0 takes the pair column whenever p > 0, so p falls by
     # _P_DROP a step, the fastest any lane can finish: such lanes all retire
     # in the step the skipped check comes back, next to lanes that take
@@ -517,7 +522,8 @@ def test_chain_block_skip_bound_is_tight(n, draw_rows):
     width = 12
     rows = np.random.default_rng([n, draw_rows]).random((n + 1, width))
     rows[:, :5] = 0.0
-    new = _chain_block(n, width, PresetDraws(rows), draw_rows)
+    monkeypatch.setattr(greedy, "_DRAW_ROWS", draw_rows)
+    new = _chain_block(n, width, PresetDraws(rows))
     ref = _masked_chain_block(n, width, PresetDraws(rows), draw_rows)
     for a, b in zip(new, ref):
         assert np.array_equal(a, b), (n, draw_rows)
@@ -848,12 +854,35 @@ def test_law_short_of_one_does_not_normalize(n):
 
 
 def test_blue_split_weights_sum_to_factorial():
-    # the common-denominator assembly needs integer weights over (c-1)!
+    # the common-denominator assembly needs integer weights over (c-1)!;
+    # c = 1 is the root activating last, the one blue and active
     table = _blue_split_weights(60)
-    assert sorted(table) == list(range(2, 61))
+    assert sorted(table) == list(range(1, 61))
+    assert table[1] == {1: 1}
     for c, weights in table.items():
         assert sum(weights.values()) == math.factorial(c - 1)
         assert all(w > 0 for w in weights.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20, 40])
+def test_step_free_rows_give_the_size_and_root_last_marginal(n):
+    # width 0 merges the step slots: each absorbed entry is its numerator
+    # over n^n summed over the steps, and the joint law's assembly turns
+    # the rows into the (size, root_last) law over the same denominator
+    absorbed = _absorbed_rows(n, 0)
+    cmax = max(absorbed)
+    top = math.factorial(cmax - 1)
+    split = _blue_split_weights(cmax)
+    marginal = defaultdict(int)
+    for c, ws in absorbed.items():
+        scale = top // math.factorial(c - 1)
+        for aw, w in enumerate(ws):
+            for a, s in split[c].items():
+                marginal[(aw + a, int(c == 1))] += w * s * scale
+    law = exact_chain_law(n)
+    assert law.den == n ** n * top
+    joint = law._sums(lambda key: (key[0], key[2]))
+    assert {k: v for k, v in marginal.items() if v} == joint
 
 
 def test_exact_law_cap(monkeypatch):

@@ -220,6 +220,13 @@ def test_report_pass_band():
     assert not r2.passed
 
 
+def test_report_passed_is_not_an_argument():
+    # the band decides it; a value passed in used to be silently overwritten
+    with pytest.raises(TypeError):
+        ExperimentReport(n=10, replicates=5, seed=1, statistic="x",
+                         observed=0.9, target=0.5, tolerance=0.02, passed=True)
+
+
 def test_report_explicit_band():
     r = ExperimentReport(n=10, replicates=5, seed=1, statistic="p",
                          observed=0.05, target=1.0, tolerance=1.0,
