@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -25,6 +26,17 @@ def _note_seed(args) -> None:
 
 def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _jsonl(rows: list[dict]) -> str:
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def _csv(fields: list[str], rows: list[dict]) -> str:
+    """A header of ``fields``, then one line per row; a missing key is empty."""
+    lines = [",".join(fields)]
+    lines += [",".join(str(row.get(k, "")) for k in fields) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _sig15(x: float) -> float:
@@ -84,7 +96,9 @@ def cmd_peel(args) -> int:
             rule = _make_rule(args.alg, rng.child(1))
             steps, final = peeling.peel_markov(args.n, rule, rng.child(0))
             print(f"final tree: {final.to_line()}", file=sys.stderr)
-    _emit(peeling.format_steps_csv(steps), args.out)
+    rows = [{"step": i, "peeled": s.peeled, "parent": s.parent,
+             "recolored": int(s.recolored_to_blue)} for i, s in enumerate(steps, start=1)]
+    _emit(_csv(["step", "peeled", "parent", "recolored"], rows), args.out)
     return 0
 
 
@@ -96,11 +110,13 @@ def _make_rule(name: str, rng: trees.RandomSource):
     raise ValueError(f"unknown peeling rule {name!r}")
 
 
+#: outcome table columns; no command fills M and maxIS, which stay empty
+OUTCOME_FIELDS = ["n", "replicate", "G", "theta", "E", "M", "maxIS"]
+
+
 def _emit_outcomes(rows: list[dict], args) -> None:
-    if args.format == "json":
-        _emit("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows), args.out)
-    else:
-        _emit(greedy.format_outcomes_csv(rows), args.out)
+    text = _jsonl(rows) if args.format == "json" else _csv(OUTCOME_FIELDS, rows)
+    _emit(text, args.out)
 
 
 def cmd_greedy(args) -> int:
@@ -118,8 +134,9 @@ def cmd_greedy(args) -> int:
 def _emit_reports(reports: list[stats.ExperimentReport], out: str | None,
                   csv: bool = False) -> int:
     """Reports as JSON lines, or CSV; exit code 1 if any failed."""
-    fmt = stats.format_reports_csv if csv else stats.format_reports_jsonl
-    _emit(fmt(reports), out)
+    rows = [dataclasses.asdict(r) for r in reports]
+    fields = [f.name for f in dataclasses.fields(stats.ExperimentReport)]
+    _emit(_csv(fields, rows) if csv else _jsonl(rows), out)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from operator import index, itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -885,21 +885,8 @@ def max_independent_set(tree: CayleyTree) -> int:
 
 
 # --------------------------------------------------------------------------
-# Outcome serialization
+# The exact law as JSON
 # --------------------------------------------------------------------------
-
-OUTCOME_FIELDS = ["n", "replicate", "G", "theta", "E", "M", "maxIS"]
-
-
-def format_outcomes_csv(rows: Iterable[dict]) -> str:
-    """Outcome table with columns n,replicate,G,theta,E,M,maxIS.
-
-    Rows may omit fields; absent fields are left empty.
-    """
-    lines = [",".join(OUTCOME_FIELDS)]
-    lines += [",".join(str(row.get(k, "")) for k in OUTCOME_FIELDS) for row in rows]
-    return "\n".join(lines) + "\n"
-
 
 def fraction_to_json(x: Fraction) -> dict:
     """An exact probability as ``{"fraction": "p/q", "float": x}``."""

@@ -22,7 +22,7 @@ the exploration possible without drawing the tree first
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 from .trees import CayleyTree, RandomSource
 
@@ -280,13 +280,3 @@ def first_branch_law(n: int) -> dict[int, Fraction]:
         law[k] = Fraction(k + 1, n) * prod
         prod *= Fraction(n - (k + 1), n)
     return law
-
-
-def format_steps_csv(steps: Iterable[PeelStep]) -> str:
-    """Step trace with columns step,peeled,parent,recolored(0/1)."""
-    lines = ["step,peeled,parent,recolored"]
-    lines += [
-        f"{i},{s.peeled},{s.parent},{int(s.recolored_to_blue)}"
-        for i, s in enumerate(steps, start=1)
-    ]
-    return "\n".join(lines) + "\n"

@@ -8,7 +8,6 @@ never changes a result.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import Counter
@@ -150,12 +149,6 @@ def ks_gaussian(
     return stat, float(scipy.stats.kstwo.sf(stat, values.size))
 
 
-REPORT_FIELDS = [
-    "n", "replicates", "seed", "statistic", "observed", "target",
-    "tolerance", "lower", "upper", "passed",
-]
-
-
 @dataclass
 class ExperimentReport:
     """One verified statistic; passes iff observed lies in [lower, upper].
@@ -180,19 +173,6 @@ class ExperimentReport:
         if math.isnan(self.upper):
             self.upper = self.target + self.tolerance
         self.passed = self.lower <= self.observed <= self.upper
-
-    def to_json(self) -> str:
-        return json.dumps({k: getattr(self, k) for k in REPORT_FIELDS}, sort_keys=True)
-
-
-def format_reports_jsonl(reports: Iterable[ExperimentReport]) -> str:
-    return "".join(r.to_json() + "\n" for r in reports)
-
-
-def format_reports_csv(reports: Iterable[ExperimentReport]) -> str:
-    lines = [",".join(REPORT_FIELDS)]
-    lines += [",".join(str(getattr(r, k)) for k in REPORT_FIELDS) for r in reports]
-    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------

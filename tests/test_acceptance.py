@@ -89,6 +89,26 @@ def test_criterion_1_exact_symmetry(exact_laws):
     assert dp_matches
 
 
+def _reflected(law, flag=lambda e: e) -> dict:
+    """``law``'s numerators with each key (g, theta, e) sent to
+    (n - g + e, theta, flag(e)); both maps are one to one."""
+    n = law.n
+    return {(n - g + e, t, flag(e)): num for (g, t, e), num in law.numerators.items()}
+
+
+def test_joint_law_is_reflection_invariant(exact_laws):
+    """(G, theta, E) =d (n - G + E, theta, E) exactly, on the DP for
+    2 <= n <= 60 and on enumeration for 2 <= n <= 7: criterion 1's symmetry
+    holds jointly with the stopping step and the root-last flag."""
+    for n in LAW_RANGE:
+        assert _reflected(exact_laws[n]) == exact_laws[n].numerators, n
+    for n in range(2, 8):
+        law = enumeration_law(n)
+        assert _reflected(law) == law.numerators, n
+    # a control that must fail: flipping the flag too breaks the identity
+    assert _reflected(exact_laws[12], lambda e: 1 - e) != exact_laws[12].numerators
+
+
 def test_criterion_2_root_last_convergence(exact_laws):
     """Exact P(root last) converges monotonically to 1/4, and the MC
     fraction at n = 1000 with 10^5 replicates lies within 0.25 +/- 0.02.

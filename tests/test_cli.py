@@ -218,9 +218,9 @@ SWEEP_SHA256 = {
 }
 
 
-#: SHA-256 of the stdout of the tree files, the report printers and the
-#: two-sample symmetry TV, pinned when their writers were merged into one
-#: formatter each
+#: SHA-256 of the stdout of the tree files, the report and outcome tables in
+#: both formats and the two-sample symmetry TV, pinned so that the tables
+#: stay byte-identical when their writers change
 OUTPUT_SHA256 = {
     "verify-symmetry --mc --n 12 --replicates 20000 --seed 9":
         "3261d9b8540c220a01a8daa0c83132357dbc8bce490ecd56ec25e82671a4dac9",
@@ -234,6 +234,10 @@ OUTPUT_SHA256 = {
         "2ed3cd8054f79601a5f6293d3dfba0e7b70d8db44cbc3abc4301d27254880548",
     "sample-tree --n 50 --count 30 --seed 3 --method aldous-broder":
         "4daa447a2ebee980401775e7c7a2fbe33a2578ce7f64c3bdc8f0674e51dc4def",
+    "greedy --n 30 --replicates 3 --seed 8 --format json":
+        "a1442de2524797621fc9c8d573f8a64c2c2b4efc99b32fb8ee2fb012f37c92f2",
+    "chain --n 150 --replicates 4 --seed 22 --format json":
+        "46df52aaf4b8c024873991affe4769afa5844e9c1272db581f650d0cc0beebfd",
 }
 
 

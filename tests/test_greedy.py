@@ -45,10 +45,9 @@ from cayley_greedy.greedy import (
     greedy_exploration_steps,
     greedy_markov_peeling,
     law_to_json_dict,
-    format_outcomes_csv,
     total_variation_exact,
 )
-from cayley_greedy.cli import main
+from cayley_greedy.cli import OUTCOME_FIELDS, _csv, main
 from cayley_greedy.stats import EmpiricalDistribution
 from oracles import (
     StatusCounts,
@@ -862,6 +861,64 @@ def test_blue_split_weights_sum_to_factorial():
     for c, weights in table.items():
         assert sum(weights.values()) == math.factorial(c - 1)
         assert all(w > 0 for w in weights.values())
+    # symmetric under a -> c - a for every c >= 2; c = 1 is the one
+    # exception, and it gives the symmetry its + E
+    asymmetric = [c for c, weights in table.items()
+                  if {c - a: w for a, w in weights.items()} != weights]
+    assert asymmetric == [1]
+
+
+#: each ChainColumn's change of (u, aw, bw, ab, bb), as Python ints
+_DELTAS = {col: CHAIN_DELTA[:, col].tolist() for col in ChainColumn}
+
+
+def _dp_moves(n, u, c, aw):
+    """Moves out of the DP state (u, c, aw) as a multiset of (u', c',
+    weight times n, aw'), from chain_weights and CHAIN_DELTA.  The two blue
+    parent columns both land on (u - 1, c + 1, aw), so they are one move of
+    the blue weight, as in the DP."""
+    pair_w, blue_w = chain_weights(u, c)
+    free = n - u - c
+    if pair_w < 0:
+        columns = [(ChainColumn.ROOT_LAST, n)]
+    else:
+        blue = ChainColumn.ACTIVE_BLUE_PARENT if c else ChainColumn.ROOT_CONNECTION
+        columns = [(ChainColumn.PAIR, pair_w), (ChainColumn.ACTIVE_WHITE_PARENT, aw),
+                   (ChainColumn.BLOCKED_WHITE_PARENT, free - aw), (blue, blue_w)]
+    moves = Counter()
+    for col, w in columns:
+        if w:
+            du, daw, _, dab, dbb = _DELTAS[col]
+            moves[(u + du, c + dab + dbb, w, aw + daw)] += 1
+    return moves
+
+
+def test_dp_moves_commute_with_the_white_reflection():
+    # the induction behind the palindromic rows: aw -> free - aw, with
+    # free = n - u - c, maps the moves out of aw onto those out of free - aw,
+    # weight for weight, once each target is reflected in its own row
+    ab, bb = _DELTAS[ChainColumn.ACTIVE_BLUE_PARENT], _DELTAS[ChainColumn.BLOCKED_BLUE_PARENT]
+    assert ab[:2] == bb[:2] and sum(ab[3:]) == sum(bb[3:]) == 1
+    for n in range(1, 21):
+        for u in range(1, n + 1):
+            for c in [0, *range(2, n - u + 1)]:
+                free = n - u - c
+                for aw in range(free + 1):
+                    reflected = Counter({
+                        (u2, c2, w, n - u2 - c2 - aw2): k
+                        for (u2, c2, w, aw2), k in _dp_moves(n, u, c, aw).items()
+                    })
+                    assert reflected == _dp_moves(n, u, c, free - aw), (n, u, c, aw)
+
+
+@pytest.mark.parametrize("n, packed", [
+    (5, False), (10, False), (20, False), (40, False), (60, False), (8, True), (20, True),
+])
+def test_absorbed_rows_are_palindromes(n, packed):
+    # row c is indexed by aw = 0..n - c, with or without the step slots
+    width = -(-(n ** n).bit_length() // 8) if packed else 0
+    rows = _absorbed_rows(n, width)
+    assert all(len(ws) == n - c + 1 and ws == ws[::-1] for c, ws in rows.items())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20, 40])
@@ -1154,7 +1211,7 @@ def test_statistics_only_read_the_parent_array(share, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_write_outcomes_csv(tmp_path, capsys):
-    text = format_outcomes_csv([
+    text = _csv(OUTCOME_FIELDS, [
         {"n": 3, "replicate": 0, "G": 2, "theta": 2, "E": 1},
         {"n": 3, "replicate": 1, "M": 1},
     ])

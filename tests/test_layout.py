@@ -14,6 +14,10 @@ functions it wraps by string).  The scan goes by name alone, so a method
 shares its uses with every other name spelled the same way.  It repeats
 until nothing changes, each pass leaving out the uses inside definitions
 already found unused, so code whose only callers are unused is caught too.
+
+Every name that a library module imports at its top level must also be
+read in that module, as a variable; annotations count, since they still
+parse as expressions.
 """
 
 import ast
@@ -156,3 +160,32 @@ def test_keep_list_names_library_code():
     unused = _unused(_parsed(), LIBRARY, keep={})
     assert sorted(set(KEEP) - set(unused)) == []
     assert all(reason for reason in KEEP.values())
+
+
+def _unused_imports(module: ast.Module) -> list[str]:
+    """Names bound by a top-level import of ``module`` that no ``ast.Name``
+    in it reads; ``from __future__`` imports bind nothing."""
+    bound = []
+    for node in module.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_scan():
+    module = ast.parse(
+        "from __future__ import annotations\n"
+        "import json\nimport numpy as np\nimport os.path\n"
+        "from typing import Iterable, Sequence\n\n\n"
+        "def f(x: Sequence[int]) -> int:\n    return np.sum(os.path.sep)\n")
+    assert _unused_imports(module) == ["json", "Iterable"]
+
+
+def test_library_imports_are_used():
+    modules = _parsed()
+    unused = [f"{p.stem}.{name}"
+              for p in LIBRARY for name in _unused_imports(modules[p])]
+    assert unused == [], f"imported but never read: {', '.join(unused)}"

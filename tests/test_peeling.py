@@ -22,8 +22,9 @@ from cayley_greedy import (
     sample_uniform,
     tree_count,
 )
+from cayley_greedy import peeling
 from cayley_greedy.cli import main
-from cayley_greedy.peeling import PeelStep, _check_transition_weights, format_steps_csv
+from cayley_greedy.peeling import PeelStep, _check_transition_weights
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
 from cayley_greedy.trees import format_trees
 from oracles import first_repetition_law
@@ -339,27 +340,35 @@ def test_transition_weight_check_rejects_impossible_sizes():
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _fixed_tree_trace(tree_file, capsys, *argv) -> str:
+    """stdout of ``peel --fixed-tree tree_file --alg ab`` and ``argv``."""
+    assert main(["peel", "--fixed-tree", str(tree_file), "--alg", "ab", *argv]) == 0
+    return capsys.readouterr().out
+
+
 def test_write_steps_csv(tmp_path, capsys):
-    steps = peel_fixed_tree(PATH_2_1_3, SmallestLabelRule())
-    text = format_steps_csv(steps)
-    assert text == "step,peeled,parent,recolored\n1,1,3,1\n2,2,1,1\n"
-    # the same trace through a tree file and --out, with LF line ends
     tree_file = tmp_path / "tree.txt"
     tree_file.write_text(format_trees([PATH_2_1_3]))
+    text = _fixed_tree_trace(tree_file, capsys)
+    assert text == "step,peeled,parent,recolored\n1,1,3,1\n2,2,1,1\n"
+    # the same trace through --out, with LF line ends
     path = tmp_path / "steps.csv"
-    assert main(["peel", "--fixed-tree", str(tree_file), "--alg", "ab",
-                 "--out", str(path)]) == 0
-    assert capsys.readouterr().out == ""
+    assert _fixed_tree_trace(tree_file, capsys, "--out", str(path)) == ""
     assert path.read_bytes() == text.encode()
 
 
-def test_peel_step_is_a_named_tuple():
+def test_peel_step_is_a_named_tuple(tmp_path, capsys, monkeypatch):
     step = PeelStep(peeled=3, parent=7, recolored_to_blue=True)
     assert step._fields == ("peeled", "parent", "recolored_to_blue")
     assert repr(step) == "PeelStep(peeled=3, parent=7, recolored_to_blue=True)"
     assert step == (3, 7, True)  # a tuple: equal to the plain tuple
     with pytest.raises(AttributeError):
         step.peeled = 4
-    assert format_steps_csv([step, PeelStep(1, 3, False)]) == (
+    # the trace reads the fields by name and writes the flag as 0/1
+    monkeypatch.setattr(peeling, "peel_fixed_tree",
+                        lambda tree, rule: [step, PeelStep(1, 3, False)])
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text(format_trees([PATH_2_1_3]))
+    assert _fixed_tree_trace(tree_file, capsys) == (
         "step,peeled,parent,recolored\n1,3,7,1\n2,1,3,0\n"
     )

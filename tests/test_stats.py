@@ -26,12 +26,9 @@ from cayley_greedy import (
     total_variation,
     tree_sweep_experiment,
 )
-from cayley_greedy.cli import main
+from cayley_greedy.cli import _emit_reports, main
 from cayley_greedy.stats import (
-    REPORT_FIELDS,
     _bootstrap_tv_threshold,
-    format_reports_csv,
-    format_reports_jsonl,
     gaussian_lattice_distance,
     sweep_workers,
 )
@@ -239,13 +236,17 @@ def test_report_serialization(tmp_path, capsys):
         ExperimentReport(n=3, replicates=10, seed=7, statistic="a",
                          observed=1.0, target=1.0, tolerance=0.1),
     ]
-    jsonl = format_reports_jsonl(reports)
-    row = json.loads(jsonl)
+    assert _emit_reports(reports, None) == 0
+    row = json.loads(capsys.readouterr().out)
     assert row["statistic"] == "a" and row["passed"] is True
-    # one schema: the JSON keys and the CSV columns are REPORT_FIELDS
-    assert sorted(row) == sorted(REPORT_FIELDS)
-    lines = format_reports_csv(reports).splitlines()
-    assert lines == [",".join(REPORT_FIELDS), "3,10,7,a,1.0,1.0,0.1,0.9,1.1,True"]
+    # one schema: the JSON keys and the CSV columns are the dataclass's
+    # fields, the columns in the order of their declaration
+    fields = ["n", "replicates", "seed", "statistic", "observed", "target",
+              "tolerance", "lower", "upper", "passed"]
+    assert list(row) == sorted(fields)
+    assert _emit_reports(reports, None, csv=True) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [",".join(fields), "3,10,7,a,1.0,1.0,0.1,0.9,1.1,True"]
     # --out writes the bytes the command prints, in both formats
     argv = ["clt", "--n", "100", "--replicates", "100", "--seed", "3"]
     for fmt in ("csv", "json"):
