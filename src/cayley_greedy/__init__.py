@@ -9,10 +9,6 @@ from .fluid import (
     clt_constants,
     covariance_matrix,
     discrete_step_covariance,
-    drift,
-    flow_matrix,
-    local_covariance,
-    ode_solution,
     t_star,
 )
 from .greedy import (
@@ -57,7 +53,6 @@ from .trees import (
     pitman_sample,
     pitman_sample_rooted,
     prufer_decode,
-    prufer_encode,
     sample_uniform,
     tree_count,
 )

@@ -20,61 +20,15 @@ exact closed forms (see :func:`covariance_matrix` and
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 TIME_TO_ABSORPTION = math.log(2.0)
 
 
-class FluidPoint(NamedTuple):
-    t: float
-    u: float
-    a: float
-    b: float
-
-
-def drift(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """Mean increment field of the rescaled chain."""
-    return (-2 * x - y - z, x + z, x + y)
-
-
-def jacobian() -> np.ndarray:
-    """Derivative of :func:`drift`, constant because the field is linear."""
-    return np.array([[-2.0, -1.0, -1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-
-
-def ode_solution(t: float) -> FluidPoint:
-    """Closed-form trajectory; u + a + b == 1 for all t."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    e = math.exp(-t)
-    return FluidPoint(t=t, u=2 * e - 1, a=1 - e, b=1 - e)
-
-
 def t_star() -> float:
     """First zero of the undetermined fraction: ln 2."""
     return TIME_TO_ABSORPTION
-
-
-def flow_matrix(s: float) -> np.ndarray:
-    """exp(s J) for the drift Jacobian J.
-
-    J is diagonalizable with eigenvalues {0, -1, -1} and satisfies
-    J @ J = -J, hence exp(sJ) = I + (1 - exp(-s)) J exactly.
-    """
-    return np.eye(3) + (1.0 - math.exp(-s)) * jacobian()
-
-
-def local_covariance(s: float) -> np.ndarray:
-    """Per-step covariance source along the trajectory (sum of jump outer
-    products weighted by their limiting rates); symmetric for all s."""
-    _, u, a, b = ode_solution(s)
-    return np.array([
-        [4 * u + a + b, -2 * u - b, -2 * u - a],
-        [-2 * u - b, u + b, u],
-        [-2 * u - a, u, u + a],
-    ])
 
 
 def covariance_matrix() -> np.ndarray:
@@ -84,7 +38,11 @@ def covariance_matrix() -> np.ndarray:
                                             [-3/8,  1/4,  1/8],
                                             [-3/8,  1/8,  1/4]],
 
-    with G = :func:`local_covariance` and P(s) = flow_matrix(t* - s).
+    with P(s) = exp((t* - s) J) the linearized flow and G(s) the local jump
+    covariance (jump outer products weighted by their rates) at (u, a, b):
+
+        G = [[4u + a + b, -2u - b, -2u - a],
+             [-2u - b, u + b, u], [-2u - a, u, u + a]].
 
     Since exp(-(t* - s)) = e^s / 2, P(s) = I + (1 - e^s/2) J, while G(s) is
     affine in e^-s.  The integrand is therefore an exponential polynomial
@@ -99,6 +57,9 @@ def covariance_matrix() -> np.ndarray:
     rational; every entry is a dyadic fraction, so the float values are
     exact.  M is symmetric, positive semidefinite and singular: the three
     rescaled counts sum to one, so (1, 1, 1) spans its kernel.
+
+    ``tests/oracles.py`` holds the ODE, G and P; ``tests/test_fluid.py``
+    checks M against their quadrature.
     """
     return np.array([
         [3 / 4, -3 / 8, -3 / 8],

@@ -461,8 +461,8 @@ class GreedyLaw:
 
     ``numerators`` maps (size, steps, root_last) to an integer numerator
     over the one denominator ``den``, and they must sum to ``den``.  The
-    marginals and the moments are sums of these integers, each made a
-    Fraction once; :attr:`joint` gives every key's probability.
+    marginals are sums of these integers, each made a Fraction once;
+    :attr:`joint` gives every key's probability.
     """
 
     def __init__(self, n: int, numerators: dict[tuple[int, int, int], int], den: int):
@@ -488,18 +488,6 @@ class GreedyLaw:
     def _law(self, value: Callable[[tuple[int, int, int]], int]) -> dict[int, Fraction]:
         return {x: Fraction(num, self.den) for x, num in self._sums(value).items()}
 
-    def _power_sums(self, index: int) -> tuple[int, int]:
-        """E[X] and E[X^2] times the common denominator, for X = key[index]."""
-        s1 = s2 = 0
-        for x, num in self._sums(itemgetter(index)).items():
-            s1 += x * num
-            s2 += x * x * num
-        return s1, s2
-
-    def _variance(self, index: int) -> Fraction:
-        s1, s2 = self._power_sums(index)
-        return Fraction(s2 * self.den - s1 * s1, self.den ** 2)
-
     def size_law(self) -> dict[int, Fraction]:
         return self._law(itemgetter(0))
 
@@ -513,18 +501,6 @@ class GreedyLaw:
         """Law of (n - size) + root_last."""
         n = self.n
         return self._law(lambda key: (n - key[0]) + key[2])
-
-    def size_mean(self) -> Fraction:
-        return Fraction(self._power_sums(0)[0], self.den)
-
-    def size_variance(self) -> Fraction:
-        return self._variance(0)
-
-    def steps_mean(self) -> Fraction:
-        return Fraction(self._power_sums(1)[0], self.den)
-
-    def steps_variance(self) -> Fraction:
-        return self._variance(1)
 
 
 def _blue_split_weights(cmax: int) -> dict[int, dict[int, int]]:

@@ -482,14 +482,12 @@ def read_trees(filename: str) -> list[CayleyTree]:
 # Pruefer correspondence
 # --------------------------------------------------------------------------
 
-def prufer_decode(symbols: Sequence[int], n: int | None = None) -> CayleyTree:
+def prufer_decode(symbols: Sequence[int], n: int) -> CayleyTree:
     """Tree corresponding to a Pruefer sequence, rooted at n.
 
     The sequence has length n - 2 with entries in 1..n; iterating over all
     such sequences enumerates all n^(n-2) labeled trees exactly once.
     """
-    if n is None:
-        n = len(symbols) + 2
     if n < 1:
         raise ValueError("need at least one vertex")
     if len(symbols) != max(n - 2, 0):
@@ -524,39 +522,6 @@ def prufer_decode(symbols: Sequence[int], n: int | None = None) -> CayleyTree:
     # vertex n is never consumed in the loop, so it is the last leaf's parent
     parents[leaf - 1] = n
     return CayleyTree._trusted(n, parents)
-
-
-def prufer_encode(tree: CayleyTree) -> list[int]:
-    """Inverse of :func:`prufer_decode`; requires n >= 2."""
-    n = tree.n
-    if n < 2:
-        raise ValueError("encoding needs at least two vertices")
-    if n == 2:
-        return []
-    # the decode's pointer scan: what remains always holds n and the parent
-    # of every vertex it holds, so a leaf's one remaining neighbour is its
-    # parent.  The root's degree is its child count.
-    parents = tree.parents
-    degree = [1] * (n + 1)
-    degree[n] = 0
-    for p in parents:
-        degree[p] += 1
-    out = [0] * (n - 2)
-    ptr = 1
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for j in range(n - 2):
-        p = out[j] = parents[leaf - 1]
-        degree[p] -= 1
-        if degree[p] == 1 and p < ptr:
-            leaf = p
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    return out
 
 
 #: the smallest n that :func:`sample_uniform` decodes with

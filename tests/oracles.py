@@ -14,6 +14,13 @@ library against.
 * :func:`first_repetition_time` and :func:`first_repetition_law` -- the
   uniform walk's first revisit, whose law is the first-branch law shifted
   by one.
+* :func:`prufer_encode` -- the inverse of :func:`cayley_greedy.prufer_decode`,
+  for the round-trip tests.
+* :func:`drift`, :func:`jacobian`, :func:`ode_solution`,
+  :func:`flow_matrix` and :func:`local_covariance` -- the fluid ODE and its
+  linearization, from which ``tests/test_fluid.py`` integrates the
+  absorption covariances that :mod:`cayley_greedy.fluid` gives in closed
+  form.
 """
 
 from __future__ import annotations
@@ -257,3 +264,79 @@ def first_repetition_law(n: int) -> dict[int, Fraction]:
         law[k] = Fraction(k, n) * prod
         prod *= Fraction(n - k, n)
     return law
+
+
+# --------------------------------------------------------------------------
+# Pruefer encoding
+# --------------------------------------------------------------------------
+
+def prufer_encode(tree: CayleyTree) -> list[int]:
+    """Inverse of :func:`cayley_greedy.prufer_decode`; requires n >= 2."""
+    n = tree.n
+    if n < 2:
+        raise ValueError("encoding needs at least two vertices")
+    if n == 2:
+        return []
+    # the decode's pointer scan: what remains always holds n and the parent
+    # of every vertex it holds, so a leaf's one remaining neighbour is its
+    # parent.  The root's degree is its child count.
+    parents = tree.parents
+    degree = [1] * (n + 1)
+    degree[n] = 0
+    for p in parents:
+        degree[p] += 1
+    out = [0] * (n - 2)
+    ptr = 1
+    while degree[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for j in range(n - 2):
+        p = out[j] = parents[leaf - 1]
+        degree[p] -= 1
+        if degree[p] == 1 and p < ptr:
+            leaf = p
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    return out
+
+
+# --------------------------------------------------------------------------
+# The fluid ODE and its linearization
+# --------------------------------------------------------------------------
+
+def drift(u: float, a: float, b: float) -> tuple[float, float, float]:
+    """Mean increment field (u', a', b') of the rescaled chain."""
+    return (-2 * u - a - b, u + b, u + a)
+
+
+def jacobian() -> np.ndarray:
+    """Derivative of :func:`drift`, constant because the field is linear."""
+    return np.array([[-2.0, -1.0, -1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+
+def ode_solution(t: float) -> tuple[float, float, float]:
+    """(u, a, b) at time ``t`` on the closed-form trajectory; they sum to 1."""
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    e = math.exp(-t)
+    return 2 * e - 1, 1 - e, 1 - e
+
+
+def flow_matrix(s: float) -> np.ndarray:
+    """exp(s J) for the drift Jacobian J, which satisfies J @ J = -J, hence
+    exp(sJ) = I + (1 - exp(-s)) J exactly."""
+    return np.eye(3) + (1.0 - math.exp(-s)) * jacobian()
+
+
+def local_covariance(s: float) -> np.ndarray:
+    """Per-step covariance source along the trajectory (sum of jump outer
+    products weighted by their limiting rates); symmetric for all s."""
+    u, a, b = ode_solution(s)
+    return np.array([
+        [4 * u + a + b, -2 * u - b, -2 * u - a],
+        [-2 * u - b, u + b, u],
+        [-2 * u - a, u, u + a],
+    ])

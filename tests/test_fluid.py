@@ -1,5 +1,5 @@
-"""Fluid limit: ODE solution, linearized flow, closed-form covariances
-checked against a quadrature oracle."""
+"""Fluid limit: the ODE solution and linearized flow of ``tests/oracles.py``,
+and the closed-form covariances checked against their quadrature."""
 
 import math
 from fractions import Fraction
@@ -12,13 +12,10 @@ from cayley_greedy import (
     clt_constants,
     covariance_matrix,
     discrete_step_covariance,
-    drift,
-    flow_matrix,
-    local_covariance,
-    ode_solution,
     t_star,
 )
-from cayley_greedy.fluid import jacobian, stopping_step_variance
+from cayley_greedy.fluid import stopping_step_variance
+from oracles import drift, flow_matrix, jacobian, local_covariance, ode_solution
 
 EXACT_M = [
     [Fraction(3, 4), Fraction(-3, 8), Fraction(-3, 8)],
@@ -43,7 +40,7 @@ def quadrature_covariance(discrete: bool = False) -> np.ndarray:
             s = mid + half * xi
             source = local_covariance(s)
             if discrete:
-                f = np.array(drift(*ode_solution(s)[1:]))
+                f = np.array(drift(*ode_solution(s)))
                 source = source - np.outer(f, f)
             p = flow_matrix(t_star() - s)
             total += wi * half * (p @ source @ p.T)
@@ -61,13 +58,11 @@ def test_drift_values():
 
 
 def test_trajectory_endpoints():
-    p0 = ode_solution(0.0)
-    assert (p0.u, p0.a, p0.b) == (1.0, 0.0, 0.0)
-    ps = ode_solution(t_star())
-    assert abs(ps.u) < 1e-15
-    assert abs(ps.a - 0.5) < 1e-15 and abs(ps.b - 0.5) < 1e-15
-    p1 = ode_solution(1.0)
-    assert abs(p1.u - (2 / math.e - 1)) < 1e-15
+    assert ode_solution(0.0) == (1.0, 0.0, 0.0)
+    u, a, b = ode_solution(t_star())
+    assert abs(u) < 1e-15
+    assert abs(a - 0.5) < 1e-15 and abs(b - 0.5) < 1e-15
+    assert abs(ode_solution(1.0)[0] - (2 / math.e - 1)) < 1e-15
 
 
 def test_trajectory_rejects_negative_time():
@@ -80,11 +75,8 @@ def test_trajectory_solves_the_ode():
     for t in np.linspace(h, t_star(), 100):
         lo = ode_solution(t - h)
         hi = ode_solution(t + h)
-        du = (hi.u - lo.u) / (2 * h)
-        da = (hi.a - lo.a) / (2 * h)
-        db = (hi.b - lo.b) / (2 * h)
-        mid = ode_solution(t)
-        fu, fa, fb = drift(mid.u, mid.a, mid.b)
+        du, da, db = ((x - y) / (2 * h) for x, y in zip(hi, lo))
+        fu, fa, fb = drift(*ode_solution(t))
         assert abs(du - fu) < 1e-10
         assert abs(da - fa) < 1e-10
         assert abs(db - fb) < 1e-10
@@ -100,8 +92,7 @@ def test_trajectory_solves_the_ode_complex_step():
         e = cmath.exp(-(t + 1j * h))
         du = (2 * e - 1).imag / h
         da = (1 - e).imag / h
-        mid = ode_solution(t)
-        fu, fa, fb = drift(mid.u, mid.a, mid.b)
+        fu, fa, fb = drift(*ode_solution(t))
         assert abs(du - fu) < 1e-12
         assert abs(da - fa) < 1e-12
         assert abs(da - fb) < 1e-12
@@ -109,16 +100,15 @@ def test_trajectory_solves_the_ode_complex_step():
 
 def test_mass_conservation():
     for t in np.linspace(0, t_star(), 50):
-        p = ode_solution(t)
-        assert abs(p.u + p.a + p.b - 1.0) < 1e-14
+        assert abs(sum(ode_solution(t)) - 1.0) < 1e-14
 
 
 def test_t_star_value_and_root():
     assert t_star() == math.log(2)
-    root = scipy.optimize.brentq(lambda t: ode_solution(t).u, 0.1, 1.0,
+    root = scipy.optimize.brentq(lambda t: ode_solution(t)[0], 0.1, 1.0,
                                  xtol=1e-15)
     assert abs(root - t_star()) < 1e-12
-    assert abs(ode_solution(t_star()).u) < 1e-14
+    assert abs(ode_solution(t_star())[0]) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +215,7 @@ def test_drift_is_a_decaying_eigenvector():
     f = np.array([-2.0, 1.0, 1.0])
     assert np.array_equal(jacobian() @ f, -f)
     for s in np.linspace(0, t_star(), 20):
-        d = np.array(drift(*ode_solution(s)[1:]))
+        d = np.array(drift(*ode_solution(s)))
         assert np.abs(d - math.exp(-s) * f).max() < 1e-15
 
 

@@ -752,32 +752,31 @@ def test_enumeration_law_equals_peeling_tally(n):
     assert enumeration_law(n).joint == expected
 
 
+def mean_variance(dist):
+    """Exact mean and variance of a law given as value -> probability."""
+    m = sum((Fraction(x) * p for x, p in dist.items()), start=Fraction(0))
+    v = sum(((Fraction(x) - m) ** 2 * p for x, p in dist.items()), start=Fraction(0))
+    return m, v
+
+
 def _fraction_sum_summary(law):
-    """Marginals and moments as GreedyLaw formed them before its integer sums,
-    one Fraction addition per joint key, kept as the reference."""
+    """Marginals as GreedyLaw formed them before its integer sums, one
+    Fraction addition per joint key, kept as the reference."""
     def marginal(index):
         out = defaultdict(Fraction)
         for key, p in law.joint.items():
             out[key[index]] += p
         return dict(out)
 
-    def mean_variance(dist):
-        m = sum((Fraction(x) * p for x, p in dist.items()), start=Fraction(0))
-        v = sum(((Fraction(x) - m) ** 2 * p for x, p in dist.items()), start=Fraction(0))
-        return m, v
-
     complement = defaultdict(Fraction)
     for (g, _, e), p in law.joint.items():
         complement[(law.n - g) + e] += p
-    size, steps = marginal(0), marginal(1)
     return {
-        "size_law": size,
-        "steps_law": steps,
+        "size_law": marginal(0),
+        "steps_law": marginal(1),
         "complement_law": dict(complement),
         "root_last_probability": sum(
             (p for k, p in law.joint.items() if k[2] == 1), start=Fraction(0)),
-        "size_moments": mean_variance(size),
-        "steps_moments": mean_variance(steps),
     }
 
 
@@ -787,8 +786,6 @@ def _library_summary(law):
         "steps_law": law.steps_law(),
         "complement_law": law.complement_law(),
         "root_last_probability": law.root_last_probability(),
-        "size_moments": (law.size_mean(), law.size_variance()),
-        "steps_moments": (law.steps_mean(), law.steps_variance()),
     }
 
 
@@ -796,8 +793,6 @@ def _fractions_in(summary):
     for value in summary.values():
         if isinstance(value, dict):
             yield from value.values()
-        elif isinstance(value, tuple):
-            yield from value
         else:
             yield value
 
@@ -1000,9 +995,14 @@ def test_survival_expectation_coincides_at_n3():
 
 def test_law_moments_match_enumeration_n6():
     law = exact_chain_law(6)
-    sizes = [greedy_peeling(t).size for t in enumerate_all(6)]
+    outcomes = [greedy_peeling(t) for t in enumerate_all(6)]
+    sizes = [out.size for out in outcomes]
     mean = Fraction(sum(sizes), tree_count(6))
-    assert law.size_mean() == mean
+    assert mean_variance(law.size_law())[0] == mean
+    for values, marginal in ((sizes, law.size_law()),
+                             ([out.steps for out in outcomes], law.steps_law())):
+        empirical = {x: Fraction(c, tree_count(6)) for x, c in Counter(values).items()}
+        assert mean_variance(marginal) == mean_variance(empirical)
 
 
 def test_total_variation_exact():

@@ -8,12 +8,14 @@ Re-exports in ``__init__.py`` and the tests do not count; code that only
 tests call belongs in ``tests/oracles.py``.  A field counts as read where
 its name is used, not where a constructor call passes it by keyword.
 
-A name counts as used where it appears as a variable, an attribute, an
-imported name or a whole string constant (the benchmark's tracer names the
-functions it wraps by string).  The scan goes by name alone, so a method
-shares its uses with every other name spelled the same way.  It repeats
-until nothing changes, each pass leaving out the uses inside definitions
-already found unused, so code whose only callers are unused is caught too.
+A name counts as used where it appears as a variable, an attribute or an
+imported name.  A whole string constant counts only in the benchmark's
+tracer, which names the functions it wraps by string; elsewhere a string,
+such as a report statistic's name, calls nothing.  The scan goes by name
+alone, so a method shares its uses with every other name spelled the same
+way.  It repeats until nothing changes, each pass leaving out the uses
+inside definitions already found unused, so code whose only callers are
+unused is caught too.
 
 Every name that a library module imports at its top level must also be
 read in that module, as a variable; annotations count, since they still
@@ -29,25 +31,21 @@ LIBRARY = sorted(p for p in (ROOT / "src" / "cayley_greedy").glob("*.py")
                  if p.name != "__init__.py")
 BENCHMARK = sorted(p for p in (ROOT / "perfbench").rglob("*.py")
                    if "tests" not in p.relative_to(ROOT / "perfbench").parts)
+TRACER = ROOT / "perfbench" / "tracer.py"
 
-#: library code that nothing runs but that stays, with the reason
+#: library code that nothing runs but that stays, with what will call it
 KEEP = {
-    "peeling.count_containing_trees": "paper object: the containment lemma",
-    "trees.prufer_encode": "the inverse of the Pruefer bijection",
-    "fluid.drift": "the fluid ODE",
-    "fluid.flow_matrix": "the ODE's linearization",
-    "fluid.local_covariance": "the ODE's linearization",
-    "stats.total_variation": "the exact (G, E) law and its float twin will call it",
-    "stats.gaussian_lattice_distance": "the exact (G, E) law and its float twin "
-                                       "will call it",
-    "greedy.GreedyLaw.size_mean": "part of the law's API",
-    "greedy.GreedyLaw.steps_mean": "part of the law's API",
-    "cli._Parser.error": "an argparse override",
+    "peeling.count_containing_trees": "ROADMAP item 3: the source of the parent law",
+    "stats.total_variation": "ROADMAP item 2: the exact (G, E) law and its float twin",
+    "stats.gaussian_lattice_distance": "ROADMAP item 14: the limits command; "
+                                       "criterion 5 measures with it",
+    "cli._Parser.error": "an argparse override: argparse calls it",
 }
 
 
-def _names(tree: ast.AST) -> Counter:
-    """How often each name is used in ``tree``."""
+def _names(tree: ast.AST, strings: bool = False) -> Counter:
+    """How often each name is used in ``tree``, whole string constants
+    included when ``strings``."""
     out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -56,7 +54,7 @@ def _names(tree: ast.AST) -> Counter:
             out[node.attr] += 1
         elif isinstance(node, ast.alias):
             out[node.name.rpartition(".")[2]] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             out[node.value] += 1
     return out
 
@@ -95,15 +93,16 @@ def _parsed() -> dict[Path, ast.Module]:
 
 
 def _unused(modules: dict[Path, ast.Module], library: list[Path],
-            keep=KEEP) -> list[str]:
+            keep=KEEP, tracer: Path = TRACER) -> list[str]:
     """Definitions of ``library`` outside ``keep`` with no caller in ``modules``.
 
     A definition is unused when its name appears nowhere outside its own
-    body.  Each pass leaves out the names used inside the definitions found
-    so far, a method's with its class's, and the scan stops at the first
-    pass that finds nothing new.
+    body; string constants count only in the module at ``tracer``.  Each
+    pass leaves out the names used inside the definitions found so far, a
+    method's with its class's, and the scan stops at the first pass that
+    finds nothing new.
     """
-    total = sum((_names(m) for m in modules.values()), Counter())
+    total = sum((_names(m, strings=p == tracer) for p, m in modules.items()), Counter())
     defs = [(q, node) for p in library for q, node in _definitions(p, modules[p])
             if q not in keep]
     unused: list[str] = []
@@ -134,8 +133,9 @@ def test_unused_scan_follows_unused_callers():
 
 
 def test_unused_scan_sees_dataclass_fields():
-    # a keyword argument builds the field but does not read it; a string
-    # constant names it, as a list of report columns does
+    # a keyword argument builds the field but does not read it, and a
+    # string constant outside the tracer, such as a list of report
+    # columns, names it without reading it either
     path = Path("synthetic.py")
     module = ast.parse(
         "from dataclasses import dataclass\n\n\n"
@@ -143,7 +143,24 @@ def test_unused_scan_sees_dataclass_fields():
         "def run():\n    return Out(size=1, extra=2).size\n\n\nrun()\n")
     assert _unused({path: module}, [path]) == ["synthetic.Out.extra"]
     columns = ast.parse("COLUMNS = ['extra']\n")
-    assert _unused({path: module, Path("columns.py"): columns}, [path]) == []
+    assert _unused({path: module, Path("columns.py"): columns}, [path]) == [
+        "synthetic.Out.extra"]
+
+
+def test_unused_scan_counts_strings_only_in_the_tracer():
+    # a report whose statistic is spelled like a method does not call it;
+    # the tracer, which wraps functions named by string, does
+    path = Path("synthetic.py")
+    module = ast.parse(
+        "class Law:\n    def size_variance(self):\n        return 0\n\n\n"
+        "def report():\n    return dict(statistic=\"size_variance\", law=Law())\n\n\n"
+        "report()\n")
+    assert _unused({path: module}, [path]) == ["synthetic.Law.size_variance"]
+    tracer = Path("tracer.py")
+    wrapped = ast.parse("FUNCTIONS = [('synthetic', 'size_variance')]\n")
+    assert _unused({path: module, tracer: wrapped}, [path], tracer=tracer) == []
+    assert _unused({path: module, tracer: wrapped}, [path]) == [
+        "synthetic.Law.size_variance"]
 
 
 def test_library_code_has_a_caller():
