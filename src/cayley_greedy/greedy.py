@@ -29,8 +29,9 @@ computes the same set in two ways:
   the slots of one integer.  Its transition rule is written once: column
   weights in :func:`chain_weights`, moves in :data:`CHAIN_DELTA`.
 
-The sweep itself, the five-count chain in rationals and the per-step count
-trace of a tree are test oracles, in ``tests/oracles.py``.
+The sweep itself, the five-count chain in rationals, the per-step count
+trace of a tree and the DP's pass over full rows are test oracles, in
+``tests/oracles.py``.
 
 Here *blue* means "in the component of the root n" exactly as in the
 peeling exploration; the root-last indicator records the event that at
@@ -523,15 +524,35 @@ def _blue_split_weights(cmax: int) -> dict[int, dict[int, int]]:
 
 
 def _absorbed_rows(n: int, width: int) -> dict[int, list[int]]:
-    """Forward pass of :func:`exact_chain_law`: absorbed rows by blue count.
+    """Forward pass of :func:`exact_chain_law`: absorbed half rows by blue count.
 
     Rows are keyed by (undetermined u, blue count c) and indexed by the
-    active-white count; each entry packs the step axis into slots of
+    active-white count aw; each entry packs the step axis into slots of
     ``width`` bytes, numerators over n^(n - u) at layer u (see
     :func:`exact_chain_law`).  ``width`` 0 merges the slots: the step-free
     law.  Layers are processed in decreasing u and each row is dropped as
     it is processed, so only layers u - 1 and u - 2 stay live besides the
     absorbed rows.
+
+    Each row keeps only aw = 0..free // 2, with free = n - u - c: every
+    full row is a palindrome, ws[aw] == ws[free - aw], since the start row
+    [1] is one and the reflection aw -> free - aw maps the moves out of aw
+    onto those out of free - aw weight for weight (the induction step that
+    ``test_dp_moves_commute_with_the_white_reflection`` checks).  A kept
+    entry w at aw moves:
+
+    * pair: to aw + 1 of (u - 2, c), whose free is 2 more, so it is kept;
+    * blue: to aw of the blue target, whose free is the same;
+    * white stay: w * aw to aw of (u - 1, c);
+    * white up: w * (free - aw) to aw + 1 of (u - 1, c) while
+      aw < free // 2.  At aw == free // 2 with free odd, aw + 1 is the new
+      middle entry, which also gets the mirror entry's stay move of the
+      same weight, so the move counts twice; with free even, aw + 1 is in
+      the upper half and the move is skipped.
+
+    So each kept target gets exactly its moves of the full pass,
+    ``full_absorbed_rows`` in ``tests/oracles.py``, which the tests
+    compare these rows with.
     """
     shift = 8 * width
     # layers[u]: c -> packed weights by active_white; a row is made only
@@ -543,7 +564,7 @@ def _absorbed_rows(n: int, width: int) -> dict[int, list[int]]:
     def row(u: int, c: int) -> list[int]:
         r = layers[u].get(c)
         if r is None:
-            r = layers[u][c] = [0] * (n - u - c + 1)
+            r = layers[u][c] = [0] * ((n - u - c) // 2 + 1)
         return r
 
     for u in range(n, 0, -1):
@@ -571,8 +592,11 @@ def _absorbed_rows(n: int, width: int) -> dict[int, list[int]]:
                     pair[aw + 1] += shifted * pair_w
                 if aw:
                     white[aw] += w * aw
-                if free - aw:
-                    white[aw + 1] += w * (free - aw)
+                up = free - aw
+                if up > aw + 1:  # aw < free // 2
+                    white[aw + 1] += w * up
+                elif up > aw:  # the middle of an odd row: the mirror's stay too
+                    white[aw + 1] += 2 * w * up
                 blue[aw] += (w if c else shifted) * blue_w
     return layers[0]
 
@@ -600,6 +624,8 @@ def exact_chain_law(n: int) -> GreedyLaw:
     * Order.  Every move lowers u by 1 or 2, so the layers u = n, ..., 1
       are processed once each, in decreasing u (:func:`_absorbed_rows`),
       and paths of different lengths that reach the same state are merged.
+      Each row is a palindrome in the active-white count, so only its
+      lower half, aw <= (n - u - c) // 2, is computed.
     * Packed step axis.  Each row entry is one Python int.  Its slot d
       holds the weight of the paths with d two-vertex moves (the pair move
       and the root connection), which took theta = n - u - d steps, as a
@@ -610,13 +636,18 @@ def exact_chain_law(n: int) -> GreedyLaw:
       :func:`chain_weights` weight; a two-vertex move lands two layers
       down, so it also multiplies by n and shifts the int left by B.  The
       forced root-last move from (1, 0) multiplies the row by n.
-    * Assembly.  Each absorbed entry with c blues is widened, by byte
-      padding, to slots of B2 >= bits(n^n * (cmax - 1)!), where cmax is
-      the largest blue count, multiplied by (cmax - 1)!/(c - 1)!, and
-      added, times each split weight of its own c, to the row of its
-      root-last flag e (c == 1).  The split weights at c sum to (c - 1)!,
-      so every slot then holds a numerator over n^n * (cmax - 1)!, and
-      each (e, size) int is unpacked once, slot d giving step n - d.
+    * Assembly.  Each absorbed half-row entry with c blues is widened, by
+      byte padding, to slots of B2 >= bits(n^n * (cmax - 1)!), where cmax
+      is the largest blue count, and multiplied by (cmax - 1)!/(c - 1)!;
+      the widened half row is mirrored into the full row.  Its entry at aw
+      is added, times each split weight of its own c at a, to size aw + a
+      of the row of its root-last flag e (c == 1), up to size
+      (n + e) // 2.  The split weights at c sum to (c - 1)!, so every slot
+      then holds a numerator over n^n * (cmax - 1)!.  Each (e, size) int
+      is unpacked once, slot d giving step n - d, and written under size
+      and n + e - size, as (size, steps, e) has the law of
+      (n + e - size, steps, e).  The tests assemble the unmirrored rows of
+      ``full_absorbed_rows`` in ``tests/oracles.py`` as the check.
 
     Cross-checked against the full five-count chain and against exhaustive
     tree enumeration in the test suite.
@@ -634,17 +665,21 @@ def exact_chain_law(n: int) -> GreedyLaw:
     wide = -(-(n ** n * top).bit_length() // 8)  # B2, in bytes
     slots = n // 2 + 1  # at most n/2 two-vertex moves
     split = _blue_split_weights(cmax)
-    # numer[e][g]: slot d holds the numerator of P(size g, steps n - d,
-    # root_last e) over n^n * top
-    numer = [[0] * (n + 1), [0] * (n + 1)]
+    # numer[e][g], g <= (n + e) // 2: slot d holds the numerator of
+    # P(size g, steps n - d, root_last e) over n^n * top, and of size n + e - g
+    numer = [[0] * (n // 2 + 1), [0] * ((n + 1) // 2 + 1)]
     for c, ws in absorbed.items():
         scale = top // math.factorial(c - 1)
         acc = numer[c == 1]
-        weights = split[c].items()
-        for aw, w in enumerate(ws):
+        sizes = len(acc)
+        weights = sorted(split[c].items())
+        row = [_widen(w, slots, width, wide) * scale if w else 0 for w in ws]
+        row += row[::-1][1 - (n - c) % 2:]  # the full row, aw = 0..n - c
+        for aw, w in enumerate(row[:sizes]):
             if w:
-                w = _widen(w, slots, width, wide) * scale
                 for a, s in weights:
+                    if aw + a >= sizes:
+                        break
                     acc[aw + a] += w * s
     numerators = {}
     for e, acc in enumerate(numer):
@@ -653,7 +688,7 @@ def exact_chain_law(n: int) -> GreedyLaw:
             for d in range(slots):
                 num = int.from_bytes(packed[d * wide:(d + 1) * wide], "little")
                 if num:
-                    numerators[(g, n - d, e)] = num
+                    numerators[(g, n - d, e)] = numerators[(n + e - g, n - d, e)] = num
     return GreedyLaw(n, numerators, n ** n * top)
 
 
@@ -724,9 +759,11 @@ class SymmetryCheck:
 def verify_symmetry_exact(n: int, cross_check: bool = False) -> SymmetryCheck:
     """TV distance between law(size) and law((n - size) + root_last), exactly.
 
-    The two laws agree exactly for every n.  With ``cross_check=True`` the
-    DP joint law is additionally compared against exhaustive enumeration
-    (practical for n <= 8).
+    The two laws agree exactly for every n, and the TV is 0 by
+    construction: :func:`exact_chain_law` computes half of each row and
+    writes each numerator under both sizes g and n + e - g.  With
+    ``cross_check=True`` the DP joint law is compared against exhaustive
+    enumeration (practical for n <= 8), the independent check.
     """
     law = exact_chain_law(n)
     if cross_check:

@@ -11,6 +11,9 @@ library against.
   :func:`law_from_fractions` holds a law in rationals as a ``GreedyLaw``.
 * :func:`_root_avoiding_survival` -- P(root last) by the chain conditioned
   never to connect the root.
+* :func:`full_absorbed_rows` -- the exact DP's forward pass with every
+  active-white count, against the half rows that the library keeps and
+  mirrors.
 * :func:`first_repetition_time` and :func:`first_repetition_law` -- the
   uniform walk's first revisit, whose law is the first-branch law shifted
   by one.
@@ -230,6 +233,60 @@ def _root_avoiding_survival(n: int) -> Fraction:
                 nxt[(u - 1, aw + 1)] += w * bw
         states = dict(nxt)
     return acc
+
+
+def full_absorbed_rows(n: int, width: int) -> dict[int, list[int]]:
+    """The absorbed rows of ``cayley_greedy.greedy._absorbed_rows`` in full.
+
+    Rows are keyed by (undetermined u, blue count c) and indexed by every
+    active-white count aw = 0..n - u - c; each entry packs the step axis
+    into slots of ``width`` bytes, numerators over n^(n - u) at layer u.
+    ``width`` 0 merges the slots: the step-free law.  Every move of each
+    entry is made, so no row is mirrored: the tests check that the rows
+    are palindromes and that the library's half rows are their lower
+    halves.
+    """
+    shift = 8 * width
+    # layers[u]: c -> packed weights by active_white; c == 1 only in the
+    # root-last row of layers[0], which collects the absorbed rows
+    layers: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    layers[n][0] = [1]
+
+    def row(u: int, c: int) -> list[int]:
+        r = layers[u].get(c)
+        if r is None:
+            r = layers[u][c] = [0] * (n - u - c + 1)
+        return r
+
+    for u in range(n, 0, -1):
+        layer = layers[u]
+        while layer:
+            c, ws = layer.popitem()
+            pair_w, blue_w = chain_weights(u, c)
+            if pair_w < 0:  # the root activates last
+                layers[0][1] = [w * n for w in ws]
+                continue
+            # the blue column lands on (pair_w, blue_w): (u - 2, 2) when the
+            # root connects, a two-vertex move, and (u - 1, c + 1) after
+            blue = row(pair_w, blue_w)
+            pair = row(u - 2, c) if pair_w else None
+            free = n - u - c  # active_white + blocked_white
+            white = row(u - 1, c) if free else None
+            pair_w *= n  # two layers down: one more factor n
+            if not c:  # the root connection, two layers down too
+                blue_w *= n
+            for aw, w in enumerate(ws):
+                if not w:
+                    continue
+                shifted = w << shift  # one more two-vertex move
+                if pair is not None:
+                    pair[aw + 1] += shifted * pair_w
+                if aw:
+                    white[aw] += w * aw
+                if free - aw:
+                    white[aw + 1] += w * (free - aw)
+                blue[aw] += (w if c else shifted) * blue_w
+    return layers[0]
 
 
 # --------------------------------------------------------------------------

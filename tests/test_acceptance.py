@@ -73,7 +73,15 @@ def clt_reports():
 
 def test_criterion_1_exact_symmetry(exact_laws):
     """TV(law(G), law((n-G)+E)) == 0 exactly for 2 <= n <= 60, and the DP
-    joint law equals exhaustive enumeration for 2 <= n <= 8."""
+    joint law equals exhaustive enumeration for 2 <= n <= 8.
+
+    The DP computes half of each row and mirrors it, so its TV is 0 by
+    construction.  The independent witnesses are in tests/test_greedy.py:
+    ``test_step_free_rows_give_the_size_and_root_last_marginal`` gives the
+    (G, E) law for n <= 60 from the full rows of
+    ``oracles.full_absorbed_rows``, which never mirrors, and
+    ``test_absorbed_rows_are_palindromes`` checks those rows.
+    """
     worst = Fraction(0)
     for n in LAW_RANGE:
         law = exact_laws[n]
@@ -99,7 +107,15 @@ def _reflected(law, flag=lambda e: e) -> dict:
 def test_joint_law_is_reflection_invariant(exact_laws):
     """(G, theta, E) =d (n - G + E, theta, E) exactly, on the DP for
     2 <= n <= 60 and on enumeration for 2 <= n <= 7: criterion 1's symmetry
-    holds jointly with the stopping step and the root-last flag."""
+    holds jointly with the stopping step and the root-last flag.
+
+    The DP writes each numerator under both g and n - g + e, so on the DP
+    this holds by construction, and enumeration is the independent side.
+    Beyond n = 7 these tests in tests/test_greedy.py keep it independent:
+    ``test_absorbed_rows_are_palindromes`` on the full rows of
+    ``oracles.full_absorbed_rows``,
+    ``test_dp_moves_commute_with_the_white_reflection``, and
+    ``JOINT_LAW_SHA256``, taken from the DP over full rows."""
     for n in LAW_RANGE:
         assert _reflected(exact_laws[n]) == exact_laws[n].numerators, n
     for n in range(2, 8):

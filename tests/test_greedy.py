@@ -54,6 +54,7 @@ from oracles import (
     _root_avoiding_survival,
     adjacency,
     chain_transitions,
+    full_absorbed_rows,
     greedy_reference,
     law_from_fractions,
     peeling_active_set,
@@ -730,6 +731,25 @@ def test_exact_law_golden_digest(n):
     assert all(p > 0 for p in law.joint.values())
 
 
+#: SHA-256 of exact_chain_law(n)'s denominator line and its "g,theta,e,num"
+#: lines in sorted key order, captured from the DP that computed every
+#: active-white count.  EXACT_LAW_SHA256 hashes only the marginals, so this
+#: pins the steps each numerator sits under; the odd n has middle entries
+#: in its odd-length rows
+JOINT_LAW_SHA256 = {
+    59: "30430b32b269edfd233e4f98e99a3054b48e03bda91aceca8773d90cea61a3e6",
+    60: "fc5a626acded633d200d62b2ad6c8a60e4fa122064ba8815e23c8a269fcd9323",
+}
+
+
+@pytest.mark.parametrize("n", sorted(JOINT_LAW_SHA256))
+def test_exact_joint_law_golden_digest(n):
+    law = exact_chain_law(n)
+    text = f"{law.den}\n" + "".join(
+        f"{g},{theta},{e},{num}\n" for (g, theta, e), num in sorted(law.numerators.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == JOINT_LAW_SHA256[n]
+
+
 #: SHA-256 of the "g,theta,e,p/q" lines of the sorted enumeration_law(7).joint,
 #: captured when each tree's outcome came through greedy_peeling
 ENUMERATION_LAW_7_SHA256 = "3cac2424fc1cb1685c863906e400c2b8456cd6fae43547ccfee88e028d0563fd"
@@ -907,21 +927,26 @@ def test_dp_moves_commute_with_the_white_reflection():
 
 
 @pytest.mark.parametrize("n, packed", [
-    (5, False), (10, False), (20, False), (40, False), (60, False), (8, True), (20, True),
+    *((n, packed) for n in [*range(1, 13), 20, 40] for packed in (False, True)),
+    (60, False), (60, True),
 ])
 def test_absorbed_rows_are_palindromes(n, packed):
-    # row c is indexed by aw = 0..n - c, with or without the step slots
+    # the oracle's row c is indexed by aw = 0..n - c, with or without the
+    # step slots, and is a palindrome; the library keeps its lower half
     width = -(-(n ** n).bit_length() // 8) if packed else 0
-    rows = _absorbed_rows(n, width)
+    rows = full_absorbed_rows(n, width)
     assert all(len(ws) == n - c + 1 and ws == ws[::-1] for c, ws in rows.items())
+    half = _absorbed_rows(n, width)
+    assert half == {c: ws[:(n - c) // 2 + 1] for c, ws in rows.items()}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20, 40])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20, 40, 60])
 def test_step_free_rows_give_the_size_and_root_last_marginal(n):
     # width 0 merges the step slots: each absorbed entry is its numerator
-    # over n^n summed over the steps, and the joint law's assembly turns
-    # the rows into the (size, root_last) law over the same denominator
-    absorbed = _absorbed_rows(n, 0)
+    # over n^n summed over the steps, and the joint law's assembly, with
+    # every split of the oracle's full rows and no mirror, turns the rows
+    # into the (size, root_last) law over the same denominator
+    absorbed = full_absorbed_rows(n, 0)
     cmax = max(absorbed)
     top = math.factorial(cmax - 1)
     split = _blue_split_weights(cmax)
