@@ -156,9 +156,8 @@ def cmd_chain(args) -> int:
         args.n, args.replicates, rng
     )
     rows = [
-        {"n": args.n, "replicate": i, "G": int(sizes[i]),
-         "theta": int(steps[i]), "E": int(root_last[i])}
-        for i in range(args.replicates)
+        {"n": args.n, "replicate": i, "G": g, "theta": t, "E": e}
+        for i, (g, t, e) in enumerate(zip(sizes.tolist(), steps.tolist(), root_last.tolist()))
     ]
     _emit_outcomes(rows, args)
     return 0

@@ -285,24 +285,41 @@ CHAIN_DELTA = np.array([
     [0, 0, 0, 1, 1, 0, 0],  # blocked blue
 ], dtype=np.int64)
 
-#: CHAIN_DELTA on _chain_block's lane state (p, aw, bw, ab, c = ab + bb),
-#: where p is the pair weight of chain_weights
+#: the columns at which c = ab + bb leaves 0, so that [c = 0] falls by one
+_LEAVES_ZERO_C = np.isin(
+    np.arange(7), [ChainColumn.ROOT_CONNECTION, ChainColumn.ROOT_LAST]
+).astype(np.int64)
+
+#: CHAIN_DELTA on _chain_block's lane state (p, aw, bw, [c = 0], ab, c + 1,
+#: max(c, 1)), where p = u - 1 - [c = 0] is the pair weight of
+#: chain_weights and max(c, 1) = c + [c = 0]; the lanes hold the rows
+#: [c = 0] and max(c, 1) times n (:func:`_lane_delta`)
 _LANE_DELTA = np.stack([
-    CHAIN_DELTA[0] + (np.arange(7) == ChainColumn.ROOT_CONNECTION),
+    CHAIN_DELTA[0] + _LEAVES_ZERO_C,
     CHAIN_DELTA[1],
     CHAIN_DELTA[2],
+    -_LEAVES_ZERO_C,
     CHAIN_DELTA[3],
     CHAIN_DELTA[3] + CHAIN_DELTA[4],
+    CHAIN_DELTA[3] + CHAIN_DELTA[4] - _LEAVES_ZERO_C,
 ])
 
-#: _chain_block's step as one product: for a lane whose draw clears the
-#: first k of its five thresholds, this matrix times the comparison column
-#: (k ones, 5 - k zeros) with a sixth entry 1 appended is _LANE_DELTA[:, k],
-#: since column j is the difference of table columns j + 1 and j, and the
-#: last column is table column 0
-_STEP_MATRIX = np.column_stack([
-    np.diff(_LANE_DELTA[:, :6], axis=1), _LANE_DELTA[:, 0],
-]).astype(np.float64)
+
+def _lane_delta(n: int) -> np.ndarray:
+    """:data:`_LANE_DELTA` as _chain_block's lanes at size n hold it: the
+    rows [c = 0] and max(c, 1) times n."""
+    return _LANE_DELTA * np.array([[1], [1], [1], [n], [1], [1], [n]])
+
+
+def _step_matrix(n: int) -> np.ndarray:
+    """_chain_block's step at size n as one product: for a lane whose draw
+    clears the first k of its five thresholds, this matrix times the
+    comparison column (k ones, 5 - k zeros) with a sixth entry 1 appended
+    is ``_lane_delta(n)[:, k]``, since column j is the difference of table
+    columns j + 1 and j, and the last column is table column 0."""
+    delta = _lane_delta(n)[:, :6]
+    return np.column_stack([np.diff(delta, axis=1), delta[:, 0]]).astype(np.float64)
+
 
 #: the most the pair weight p falls in one step of _chain_block
 _P_DROP = -int(_LANE_DELTA[0, :6].min())
@@ -364,6 +381,13 @@ def simulate_status_chain_many(
     return sizes, steps, root_last
 
 
+def _draw_rows(gen: np.random.Generator, width: int):
+    """The rows of ``gen.random((_DRAW_ROWS, width))`` batches, in order,
+    drawing a batch only when its first row is asked for."""
+    while True:
+        yield from gen.random((_DRAW_ROWS, width))
+
+
 def _chain_block(
     n: int, width: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -371,84 +395,98 @@ def _chain_block(
 
     Lane i reads column i of each ``gen.random((_DRAW_ROWS, width))`` batch,
     one row per step, so the draws are fixed by the block and not by which
-    lanes are still running.  The lane state is (p, aw, bw, ab, c), where p
-    is the pair weight of :func:`chain_weights` (u - 2 before the root
-    connects, u - 1 after) and c = ab + bb, held as exact integers in
-    float64 rows.  A step makes fourteen numpy calls over the live lanes,
-    and the done check and the draw gather below only when they are due:
+    lanes are still running.  The lane state is seven float64 rows,
+    (p, aw, bw, n*[c = 0], ab, c + 1, n*max(c, 1)), where p is the pair
+    weight of :func:`chain_weights` (u - 2 before the root connects, u - 1
+    after) and c = ab + bb.  Every row holds exact integers while
+    n*n < 2**53 (n < 9.4e7), and every one moves linearly with the column
+    (:data:`_LANE_DELTA`).  A step makes ten numpy calls over the live
+    lanes, and the done check and the draw gather below only when they are
+    due; the row views it reads are made once per block and again after
+    each lane compaction:
 
     * Thresholds.  Five rows, summed in place row by row, from the weights
-      of :func:`chain_weights`: t1 = p/n, t2 = t1 + aw/n, t3 = t2 + bw/n, a
-      guard row, then t4 = guard + ab*(c+1)/(max(c,1)*n).  The guard adds
-      1.0 before the root connects, lifting the later thresholds past every
-      draw (that regime's weights sum to n only in exact arithmetic, so
-      float dust could leave a draw above t3 + 2/n), and 0.0 after, which
-      leaves t4 as it was.  These are the thresholds that int64 lane rows
-      gave, bit for bit: the counts are integers below 2**53, which
-      float64 holds exactly; ab*(c+1) and max(c,1)*n are rounded once in
-      float64, as the int64 products were when the division converted
-      them; and each division rounds its quotient once either way.  The
+      of :func:`chain_weights`: one division of the first four lane rows
+      by n gives p/n, aw/n, bw/n and a guard row; then t0 = p/n,
+      t1 = t0 + aw/n, t2 = t1 + bw/n, t3 = t2 + guard and
+      t4 = t3 + ab*(c+1)/(n*max(c,1)), whose last term is one product of
+      the ab and c + 1 rows divided in place by the n*max(c, 1) row.  The
+      guard is n/n = 1.0 exactly before the root connects, lifting the
+      later thresholds past every draw (that regime's weights sum to n only
+      in exact arithmetic, so float dust could leave a draw above
+      t2 + 2/n), and 0/n = 0.0 after, which leaves t3 and t4 as they were.
+      These are the thresholds that int64 lane rows gave, bit for bit: the
+      counts are exact, and so is the guard; ab*(c+1) is rounded once, as
+      the int64 product was when the division converted it; n*max(c,1) is
+      exact in its row as in int64; and each division rounds its quotient
+      once either way, so t3 and t4 add the same two operands.  The
       thresholds stay floats because integer ones would cut the same draws
       at other points and so change every seeded output.
     * Column.  The column is the number of thresholds at or below the
       draw: 0..3 before the root connects, 0, 1, 2, 4, 5 after.  The
       thresholds never decrease, so the comparison rows b1..b5 read
       1, ..., 1, 0, ..., 0, and the step telescopes:
-      ``_LANE_DELTA[:, column] = D[:, 0] + sum_k b_k (D[:, k] - D[:, k-1])``
-      with D = ``_LANE_DELTA``.  The comparisons land in a float buffer
-      whose sixth row is ones, and one product with :data:`_STEP_MATRIX`
-      gives every lane's move.  Its terms are small integers times 0 or 1,
-      so the sum is exact in any order the BLAS picks.
+      ``D[:, column] = D[:, 0] + sum_k b_k (D[:, k] - D[:, k-1])`` with
+      D = ``_lane_delta(n)``.  The comparisons land in a float buffer whose
+      sixth row is ones, and one product with :func:`_step_matrix`, built
+      once per block, gives every lane's move.  Its terms are small
+      integers and multiples of n times 0 or 1, so the sum is exact in any
+      order the BLAS picks.
     * Lane compaction.  A lane is done once p < 0: u == 0 after the root
       connected, or only the root left (u == 1, c == 0), whose forced
-      root-last step is applied here.  Done lanes write size, stopping step
-      and root-last flag by their original index and leave the arrays.  p
+      root-last step adds one active vertex and one step.  Done lanes write
+      size (aw + ab, plus one when the guard is not 0), stopping step and
+      root-last flag by their original index and leave the arrays.  p
       falls by at most :data:`_P_DROP` (2) a step, so after a check that
       finds the smallest p at m >= 0 no lane can finish before
       m // 2 + 1 more steps, and the check waits until then.  Until a lane
       has left, the live lanes are all of them and read the draw row as
       it is.
     """
-    state = np.zeros((5, width))  # rows p, aw, bw, ab, c
-    state[0] = chain_weights(n, 0)[0]
+    step_matrix = _step_matrix(n)
+    state = np.zeros((7, width))  # rows p, aw, bw, n*[c == 0], ab, c + 1, n*max(c, 1)
+    state[[0, 3, 5, 6]] = [[chain_weights(n, 0)[0]], [n], [1], [n]]
     lanes = np.arange(width)
     sizes = np.empty(width, dtype=np.int64)
     theta = np.empty(width, dtype=np.int64)
     last = np.empty(width, dtype=np.int64)
-    buf = np.ones((6, width))  # t1..t5, then b1..b5; the last row stays 1
+    draws = _draw_rows(gen, width)
     step = next_check = 0
     while lanes.size:
-        for row in gen.random((_DRAW_ROWS, width)):
+        full = lanes.size == width
+        buf = np.ones((6, lanes.size))  # t0..t4, then b1..b5; the last row stays 1
+        t = buf[:5]
+        t03 = buf[:4]
+        t0, t1, t2, t3, t4 = t
+        p, ab, c1, m = state[0], state[4], state[5], state[6]
+        head = state[:4]
+        while True:
             if step == next_check:
-                p_min = int(state[0].min())
+                p_min = int(p.min())
                 next_check = step + 1 + max(p_min, 0) // _P_DROP
                 if p_min < 0:
-                    done = state[0] < 0
+                    done = p < 0
                     final = state[:, done]
-                    root_last = final[4] == 0
-                    final += _LANE_DELTA[:, [ChainColumn.ROOT_LAST]] * root_last
+                    root_last = final[3] != 0
                     out = lanes[done]
-                    sizes[out] = final[1] + final[3]
+                    sizes[out] = final[1] + final[4] + root_last
                     theta[out] = step + root_last
                     last[out] = root_last
                     keep = ~done
                     state = state[:, keep]
                     lanes = lanes[keep]
-                    if not lanes.size:
-                        break
-                    buf = np.ones((6, lanes.size))
-            x = row if lanes.size == width else row.take(lanes)
-            t = buf[:5]
-            ab, c = state[3], state[4]
-            np.divide(state[:3], n, out=t[:3])
-            np.equal(c, 0, out=t[3])
-            np.divide(ab * (c + 1), np.maximum(c, 1) * n, out=t[4])
-            t[1] += t[0]
-            t[2] += t[1]
-            t[3] += t[2]
-            t[4] += t[3]
+                    break
+            row = next(draws)
+            x = row if full else row.take(lanes)
+            np.divide(head, n, out=t03)
+            np.multiply(ab, c1, out=t4)
+            t4 /= m
+            t1 += t0
+            t2 += t1
+            t3 += t2
+            t4 += t3
             np.less_equal(t, x, out=t)
-            state += _STEP_MATRIX @ buf
+            state += step_matrix @ buf
             step += 1
     return sizes, theta, last
 

@@ -35,12 +35,12 @@ from cayley_greedy.greedy import (
     CHAIN_DELTA,
     ChainColumn,
     GreedyLaw,
-    _LANE_DELTA,
     _P_DROP,
-    _STEP_MATRIX,
     _absorbed_rows,
     _blue_split_weights,
     _chain_block,
+    _lane_delta,
+    _step_matrix,
     chain_weights,
     greedy_exploration_steps,
     greedy_markov_peeling,
@@ -344,6 +344,51 @@ def test_chain_block_threshold_boundaries(monkeypatch):
     assert [int(x[0]) for x in out] == [2, 3, 1]
 
 
+def _documented_thresholds(n, counts):
+    """t0..t4 at ``counts`` by the float expressions of _chain_block's docstring."""
+    u, aw, bw, ab, bb = (int(x) for x in counts)
+    c = ab + bb
+    t0 = chain_weights(u, c)[0] / n
+    t1 = t0 + aw / n
+    t2 = t1 + bw / n
+    t3 = t2 + n * (c == 0) / n  # the guard: 1.0 before the root connects, then 0.0
+    t4 = t3 + ab * (c + 1) / (n * max(c, 1))
+    return [t0, t1, t2, t3, t4]
+
+
+@pytest.mark.parametrize("n", [7, 97])
+def test_chain_block_threshold_boundaries_at_inexact_quotients(n):
+    # at these n the quotients are not dyadic, so a threshold rounded twice
+    # can miss the documented one by an ulp.  Every draw sits on an edge of
+    # its column's interval [t_(j-1), t_j): at fl(t_(j-1)), or one ulp below
+    # fl(t_j), or one ulp below 1 for the last open column -- before the
+    # root connects that is the root connection, as the guard lifts t3 and
+    # t4 past every draw.  A lane's column path then fixes its outcome.
+    rng = np.random.default_rng(n)
+    lanes, covered = [], set()
+    for _ in range(300):
+        counts = np.array([n, 0, 0, 0, 0])
+        draws = []
+        while chain_weights(counts[0], counts[3] + counts[4])[0] >= 0:
+            t = _documented_thresholds(n, counts)
+            low, high = [0.0, *t], [*(min(x, 1.0) for x in t), 1.0]
+            j = rng.choice([j for j in range(6) if low[j] < high[j]])
+            at_low = bool(rng.random() < 0.5)
+            draws.append(low[j] if at_low else np.nextafter(high[j], 0))
+            covered.add((bool(counts[3] + counts[4]), int(j), at_low))
+            counts += CHAIN_DELTA[:, j]
+        e = int(counts[0] == 1)  # the forced root-last step reads no draw
+        lanes.append((draws, (counts[1] + counts[3] + e, len(draws) + e, e)))
+    regimes = [(False, range(4)), (True, [0, 1, 2, 4, 5])]
+    assert covered == {(post, j, at_low) for post, cols in regimes
+                       for j in cols for at_low in (False, True)}
+    rows = np.full((max(len(d) for d, _ in lanes), len(lanes)), np.nan)  # nan: never read
+    for i, (draws, _) in enumerate(lanes):
+        rows[:len(draws), i] = draws
+    out = _chain_block(n, len(lanes), PresetDraws(rows))
+    assert [tuple(int(x) for x in o) for o in zip(*out)] == [o for _, o in lanes]
+
+
 def test_simulate_status_chain_needs_integer_sizes():
     # without the check a float n runs a chain with fractional counts, and a
     # float replicates fails deep inside numpy
@@ -532,10 +577,12 @@ def test_chain_block_skip_bound_is_tight(n, draw_rows, monkeypatch):
     assert (new[2][:5] == 1).all()
 
 
-def _lane(state):
-    """_chain_block's lane coordinates (p, aw, bw, ab, c) of ``state``."""
+def _lane(state, n):
+    """_chain_block's lane coordinates (p, aw, bw, n*[c = 0], ab, c + 1,
+    n*max(c, 1)) of ``state`` at size n."""
     u, aw, bw, ab, bb = state
-    return np.array([chain_weights(u, ab + bb)[0], aw, bw, ab, ab + bb])
+    c = ab + bb
+    return np.array([chain_weights(u, c)[0], aw, bw, n * (c == 0), ab, c + 1, n * max(c, 1)])
 
 
 def test_step_matrix_reproduces_lane_table():
@@ -547,23 +594,27 @@ def test_step_matrix_reproduces_lane_table():
     assert _P_DROP == 2
     reached = set()
     for n in range(1, 9):
+        step_matrix = _step_matrix(n)
         for state in (StatusCounts(*s) for s in itertools.product(range(n + 1), repeat=5)):
             u, aw, bw, ab, bb = state
             if sum(state) != n or u < 1 or (ab == 0) != (bb == 0):
                 continue
             for col in _regime_columns(state):
-                target = _lane(np.add(state, CHAIN_DELTA[:, col]))
+                target = _lane(np.add(state, CHAIN_DELTA[:, col]), n)
+                assert (_lane(state, n) + _lane_delta(n)[:, col] == target).all(), (state, col)
                 if col == ChainColumn.ROOT_LAST:  # forced, applied when the lane retires
-                    moved = _lane(state) + _LANE_DELTA[:, col]
-                    assert (moved[1:] == target[1:]).all() and moved[0] < 0 and target[0] < 0
+                    assert target[0] < 0 and target[3] == 0
                     continue
-                assert (_lane(state) + _STEP_MATRIX @ pattern(col) == target).all(), (state, col)
+                moved = _lane(state, n) + step_matrix @ pattern(col)
+                assert (moved == target).all(), (state, col)
                 reached.add(int(col))
     assert reached == set(range(6))
-    # one product over many lanes, as the kernel takes it, is exact
+    # one product over many lanes, as the kernel takes it, is exact, also at
+    # the largest n the acceptance criteria run the chain at
     cols = np.random.default_rng(5).integers(0, 6, 10_000)
     comparisons = np.stack([pattern(k) for k in cols], axis=1)
-    assert (_STEP_MATRIX @ comparisons == _LANE_DELTA[:, cols]).all()
+    for n in [8, 10_000]:
+        assert (_step_matrix(n) @ comparisons == _lane_delta(n)[:, cols]).all()
 
 
 def _regime_columns(state):
