@@ -10,14 +10,18 @@ computes the same set in two ways:
   two sources: a fixed tree (:func:`greedy_exploration_steps`, the edge
   trace), or the exploration's one-step law, which needs no tree
   (:func:`greedy_markov_peeling`).  Its batched form,
-  :func:`enumeration_law`, walks every tree of a batch at once.  On a
-  fixed tree the outcome alone comes from array rounds
+  :func:`enumeration_law`, walks every tree of a batch at once, each
+  row's statuses held as two bitmasks (active, determined) over its
+  labels.  On a fixed tree the outcome alone comes from array rounds
   (:func:`greedy_peeling`, like :func:`greedy_matching` and
   :func:`max_independent_set`): each round settles every vertex whose
   status no longer waits on an open one, and a sequential tail settles
-  what a stalled round leaves (:func:`_greedy_statuses`).  The walk, the
-  batch and that tail all read the inspected vertex's new status from
-  :data:`_V_AFTER`, so the inspection rule is written once.
+  what a stalled round leaves (:func:`_greedy_statuses`).  The walk and
+  that tail read the inspected vertex's new status from
+  :data:`_V_AFTER`; the batch reads the same rule off its masks (v turns
+  active iff its parent's bit is not active), and
+  ``test_enumeration_law_equals_peeling_tally`` ties it to
+  :func:`greedy_peeling`.
 * the status chain -- on a uniform tree, the five counts (undetermined,
   active-white, blocked-white, active-blue, blocked-blue) form a Markov
   chain whose transitions close over the counts alone, so the law of the
@@ -737,34 +741,40 @@ def enumeration_law(n: int) -> GreedyLaw:
     from ``trees._parent_batches``, all rows at once, column by column for
     v = 1..n.  When v's column comes up every smaller label is already
     determined, so an undetermined parent has a larger label and the
-    inspected vertices are exactly those still undetermined then.  An
-    inspected v takes ``_V_AFTER`` of its parent's status and an
-    undetermined parent is blocked.  The root's column gives the root-last
-    flag; the (size, steps, root_last) triples are tallied with
-    ``bincount``.  Refuses the n that :func:`enumerate_all` refuses.
+    inspected vertices are exactly those still undetermined then.  Each
+    row keeps its statuses as two uint64 masks, ``active`` and
+    ``determined``, with a size and a step counter: v is inspected iff
+    its bit is not determined, it turns active iff its parent's bit is not
+    active (``_V_AFTER``: an undetermined or blocked parent activates v),
+    and the parent becomes determined, blocked unless it was active.  v's
+    own determined bit is never read again, so it is not set.  The root's
+    bit gives the root-last flag; the (size, steps, root_last) triples are
+    tallied with ``bincount``.  Refuses the n that :func:`enumerate_all`
+    refuses.
     """
     n = index(n)
-    v_after = np.frombuffer(_V_AFTER, dtype=np.uint8)
+    one = np.uint64(1)
     counts = np.zeros((n + 1) * (n + 1) * 2, dtype=np.int64)  # by (g, theta, e)
     for parents in _parent_batches(n):
         rows = len(parents)
-        status = np.zeros((rows, n + 1), dtype=np.uint8)  # by label, column 0 unused
-        flat = status.reshape(-1)
-        offsets = np.arange(0, rows * (n + 1), n + 1)
+        active = np.zeros(rows, dtype=np.uint64)
+        determined = np.zeros(rows, dtype=np.uint64)
+        sizes = np.zeros(rows, dtype=np.int64)
         steps = np.zeros(rows, dtype=np.int64)
-        for v in range(1, n):
-            inspected = status[:, v] == 0
-            w = offsets + parents[:, v - 1]
-            before = flat[w]
-            flat[w] = np.where(inspected & (before == 0), _BLOCKED, before)
-            status[:, v] = np.where(inspected, v_after[before], status[:, v])
+        for v, parent in enumerate(parents.T, start=1):
+            bit = one << np.uint64(v)
+            parent_bit = one << parent
+            inspected = (determined & bit) == 0
+            turns_active = inspected & ((active & parent_bit) == 0)
+            determined |= parent_bit * inspected
+            active |= bit * turns_active
             steps += inspected
-        root_last = status[:, n] == 0
-        status[root_last, n] = _ACTIVE
-        sizes = np.count_nonzero(status == _ACTIVE, axis=1)
-        counts += np.bincount(
-            (sizes * (n + 1) + steps + root_last) * 2 + root_last,
-            minlength=counts.size)
+            sizes += turns_active
+        root_last = (determined >> np.uint64(n)) == 0
+        sizes += root_last
+        steps += root_last
+        counts += np.bincount((sizes * (n + 1) + steps) * 2 + root_last,
+                              minlength=counts.size)
     table = counts.reshape(n + 1, n + 1, 2)
     return GreedyLaw(n, {
         key: table[key].item()

@@ -13,7 +13,7 @@ import functools
 import itertools
 import operator
 import os
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -636,6 +636,10 @@ def sample_uniform(n: int, rng: RandomSource) -> CayleyTree:
 #: of the sequence run over a grid of n^k rows, the largest that fits here
 _BATCH_TREES = 4096
 
+#: largest n whose labels 0..n fit the uint64 masks of :func:`_parent_batches`
+#: and ``greedy.enumeration_law``, whatever the cap
+_MASK_MAX_N = 63
+
 
 def _parent_batches(n: int) -> Iterator[np.ndarray]:
     """Parent tables of every tree on {1..n}, a batch of rows at a time.
@@ -645,46 +649,79 @@ def _parent_batches(n: int) -> Iterator[np.ndarray]:
     of the sequences.  For n >= 3 each batch fixes one prefix of the
     leading symbols, drawn from ``itertools.product``, and runs the
     trailing k symbols over a grid of n^k <= ``_BATCH_TREES`` rows, so no
-    fixed-width int ever holds n^(n-2).  The decode takes n - 2 steps,
-    each removing the smallest degree-1 vertex of every row at once; as
-    in :func:`prufer_decode`, n is never removed, so the last vertex left
-    beside it gets parent n.  Checks the cap and n >= 1 on first use.
+    fixed-width int ever holds n^(n-2).
+
+    Each row holds its labels as bits of a uint64 mask.  Step j of the
+    decode removes the smallest leaf x_j and gives it parent a_j.  A vertex
+    not yet removed has degree 1 + (its count in a_j..a_(n-2)), so x_j is
+    the lowest set bit of ``~(removed | suffix_j)`` over labels 1..n-1,
+    where ``suffix_j`` is the OR of the bits of a_j..a_(n-2).
+    :func:`_batch_decoder` makes the grid's suffix masks once per call and
+    folds each batch's prefix in as a constant; a step is a few 1-D integer
+    operations on every row at once, the bit's index comes from
+    ``np.frexp``, exact on powers of two, and the parents are scattered
+    through flat offsets.  As in :func:`prufer_decode`, n is never removed,
+    so the last vertex left beside it gets parent n.  Checks the cap,
+    n >= 1 and n <= ``_MASK_MAX_N`` on first use.
     """
     limit = _cap(DEFAULT_ENUMERATION_CAP)
     if n > limit:
         raise ValueError(f"n={n} above the enumeration cap {limit}")
     if n < 1:
         raise ValueError("need at least one vertex")
-    dtype = np.min_scalar_type(n)
+    if n > _MASK_MAX_N:
+        raise ValueError(f"n={n} above {_MASK_MAX_N}, the largest size whose labels fit "
+                         f"the 64-bit enumeration masks; {_CAP_ENV_VAR} cannot raise it")
     if n <= 2:
-        yield np.full((1, n - 1), n, dtype)
+        yield np.full((1, n - 1), n, np.min_scalar_type(n))
         return
+    lead, decode = _batch_decoder(n)
+    for prefix in itertools.product(range(1, n + 1), repeat=lead):
+        yield decode(prefix)
+
+
+def _batch_decoder(n: int) -> tuple[int, Callable[[Sequence[int]], np.ndarray]]:
+    """For n >= 3, the number of leading symbols each batch of
+    :func:`_parent_batches` fixes, and the decode of the batch with a
+    given prefix of them; the grid and its suffix masks are made here,
+    once."""
+    dtype = np.min_scalar_type(n)
     m = n - 2
     k = 0
     while k < m and n ** (k + 1) <= _BATCH_TREES:
         k += 1
-    lead = m - k
-    # the trailing grid in product order, its last symbol running fastest
-    grid = np.arange(n ** k)[:, None] // n ** np.arange(k - 1, -1, -1) % n + 1
-    rows = np.arange(len(grid))
-    symbols = np.empty((len(grid), m), dtype)
-    symbols[:, lead:] = grid
-    # degrees by label, column 0 unused: 1 plus the grid's occurrences
-    grid_degree = np.ones((len(grid), n + 1), dtype)
-    grid_degree[:, 0] = 0
-    for column in grid.T:
-        grid_degree[rows, column] += 1
-    for prefix in itertools.product(range(1, n + 1), repeat=lead):
-        symbols[:, :lead] = prefix
-        degree = grid_degree + np.bincount(prefix, minlength=n + 1).astype(dtype)
-        parents = np.empty((len(grid), n + 1), dtype)  # by label
-        for s in symbols.T:
-            leaf = (degree == 1).argmax(axis=1)
-            parents[rows, leaf] = s
-            degree[rows, leaf] = 0
-            degree[rows, s] -= 1
-        parents[rows, (degree == 1).argmax(axis=1)] = n
-        yield parents[:, 1:n]
+    rows = n ** k
+    labels = (1 << n) - 2  # bits 1..n-1
+    # the trailing grid in product order, its last symbol running fastest,
+    # one row per symbol
+    powers = n ** np.arange(k - 1, -1, -1)
+    grid = (np.arange(rows)[:, None] // powers % n + 1).T.astype(dtype)
+    # absent[j]: labels 1..n-1 not among the symbols grid[j:]
+    absent = [np.full(rows, labels, np.uint64)]
+    for symbol in grid[::-1]:
+        absent.insert(0, absent[0] & ~(np.uint64(1) << symbol))
+    base = np.arange(-2, rows * (n - 1) - 2, n - 1)  # label x of row i at base[i] + x + 1
+
+    def decode(prefix: Sequence[int]) -> np.ndarray:
+        steps = []
+        suffix = 0
+        for a in reversed(prefix):
+            suffix |= 1 << a
+            steps.append((a, absent[0] & np.uint64(labels & ~suffix)))
+        steps.reverse()
+        steps += zip(grid, absent)
+        parents = np.empty((rows, n - 1), dtype)
+        flat = parents.reshape(-1)
+        kept = np.full(rows, labels, np.uint64)  # labels not yet removed
+        for a, not_suffix in steps:
+            leaf = kept & not_suffix
+            leaf &= -leaf  # the lowest set bit
+            kept ^= leaf
+            flat[base + np.frexp(leaf)[1]] = a  # frexp(2^x) has exponent x + 1
+        flat[base + np.frexp(kept)[1]] = n
+        return parents
+
+    return m - k, decode
 
 
 def enumerate_all(n: int) -> Iterator[CayleyTree]:

@@ -385,6 +385,9 @@ def _bad_input_cases(tmp_path):
                             "--out", str(tmp_path / "no-such-dir" / "law.json")], {}),
         "cap not an integer": (["enumerate", "--n", "3"], {"CAYLEY_GREEDY_CAP": "abc"}),
         "negative cap": (["exact-law", "--n", "3"], {"CAYLEY_GREEDY_CAP": "-1"}),
+        # labels past 63 do not fit the enumeration's 64-bit masks
+        "enumeration past the mask width": (["enumerate", "--n", "64"],
+                                            {"CAYLEY_GREEDY_CAP": "64"}),
     }
 
 
@@ -392,7 +395,7 @@ def _bad_input_cases(tmp_path):
                                   "fixed tree of another size",
                                   "peel without n", "seed with a fixed tree",
                                   "unwritable out", "cap not an integer",
-                                  "negative cap"])
+                                  "negative cap", "enumeration past the mask width"])
 def test_bad_input_exits_two_with_one_line(case, tmp_path, capsys, monkeypatch):
     argv, env = _bad_input_cases(tmp_path)[case]
     for name, value in env.items():

@@ -1039,6 +1039,14 @@ def test_cap_env_var_read_the_same_by_dp_and_enumeration(value, monkeypatch):
         enumeration_law(0)
 
 
+def test_enumeration_law_mask_width(monkeypatch):
+    # the walk's masks hold labels 0..n in a uint64: past n = 63 the
+    # enumeration refuses before it decodes a batch, whatever the cap
+    monkeypatch.setenv("CAYLEY_GREEDY_CAP", "64")
+    with pytest.raises(ValueError, match="above 63"):
+        enumeration_law(64)
+
+
 def test_symmetry_exact_small():
     for n in (2, 3, 5, 8, 13, 21):
         check = verify_symmetry_exact(n)

@@ -28,7 +28,9 @@ from cayley_greedy import (
 )
 from cayley_greedy import trees
 from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
-from cayley_greedy.trees import _decode_parents, _parent_batches, format_trees, read_trees
+from cayley_greedy.trees import (
+    _batch_decoder, _decode_parents, _parent_batches, format_trees, read_trees,
+)
 from oracles import first_repetition_law, first_repetition_time, prufer_encode
 from strategies import parent_tables
 
@@ -116,6 +118,41 @@ def test_parent_batches_decode_in_product_order(n):
     assert rows == [prufer_decode(list(seq), n).parents for seq in sequences]
     # at n = 7 the grid holds the trailing 4 symbols, 7^4 <= 4096 < 7^5
     assert len(batches) == (7 if n == 7 else 1)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_batch_decode_past_the_exhaustive_range(n):
+    # n = 8 is the first size whose batches fix two leading symbols, and
+    # n = 9 fixes four; the first, an inner and the last prefix are
+    # decoded.  The inner one, (3, 6) and (4, 1, 1, 1), is no palindrome,
+    # so a prefix folded in reverse order shows
+    lead, decode = _batch_decoder(n)
+    assert lead == {8: 2, 9: 4}[n]
+    prefixes = list(itertools.product(range(1, n + 1), repeat=lead))
+    inner = len(prefixes) // 3
+    for prefix in (prefixes[0], prefixes[inner], prefixes[-1]):
+        tails = itertools.product(range(1, n + 1), repeat=n - 2 - lead)
+        rows = [tuple(row) for row in decode(prefix).tolist()]
+        assert rows == [prufer_decode([*prefix, *tail], n).parents for tail in tails], prefix
+    if n == 8:
+        batches = list(_parent_batches(n))
+        assert len(batches) == len(prefixes)
+        for i in (0, inner, -1):
+            assert np.array_equal(batches[i], decode(prefixes[i]))
+
+
+def test_parent_batches_mask_width(monkeypatch):
+    # labels 1..n live as bits of a uint64, so n = 63 is the last size the
+    # cap's override reaches; the first batch at n = 63 sets bit 63
+    monkeypatch.setenv("CAYLEY_GREEDY_CAP", "64")
+    with pytest.raises(ValueError, match="above 63"):
+        next(iter(_parent_batches(64)))
+    with pytest.raises(ValueError, match="above 63"):
+        next(iter(enumerate_all(64)))
+    first = next(iter(_parent_batches(63)))
+    tails = itertools.product(range(1, 64), repeat=2)
+    assert [tuple(row) for row in first.tolist()] == [
+        prufer_decode([1] * 59 + list(tail), 63).parents for tail in tails]
 
 
 def test_enumerate_unique_and_valid():
