@@ -698,22 +698,18 @@ def _batch_decoder(n: int) -> tuple[int, Callable[[Sequence[int]], np.ndarray]]:
     grid = (np.arange(rows)[:, None] // powers % n + 1).T.astype(dtype)
     # absent[j]: labels 1..n-1 not among the symbols grid[j:]
     absent = [np.full(rows, labels, np.uint64)]
-    for symbol in grid[::-1]:
+    for symbol in grid[::-1].astype(np.uint64):  # uint64 bits under any promotion rule
         absent.insert(0, absent[0] & ~(np.uint64(1) << symbol))
     base = np.arange(-2, rows * (n - 1) - 2, n - 1)  # label x of row i at base[i] + x + 1
 
     def decode(prefix: Sequence[int]) -> np.ndarray:
-        steps = []
-        suffix = 0
-        for a in reversed(prefix):
-            suffix |= 1 << a
-            steps.append((a, absent[0] & np.uint64(labels & ~suffix)))
-        steps.reverse()
-        steps += zip(grid, absent)
+        # a prefix step's suffix is its own symbols, a_j.., and the whole grid
+        steps = [(a, absent[0] & np.uint64(labels & ~sum(1 << b for b in set(prefix[j:]))))
+                 for j, a in enumerate(prefix)]
         parents = np.empty((rows, n - 1), dtype)
         flat = parents.reshape(-1)
         kept = np.full(rows, labels, np.uint64)  # labels not yet removed
-        for a, not_suffix in steps:
+        for a, not_suffix in [*steps, *zip(grid, absent)]:
             leaf = kept & not_suffix
             leaf &= -leaf  # the lowest set bit
             kept ^= leaf
