@@ -42,7 +42,6 @@ from .stats import (
     clt_experiment,
     ks_gaussian,
     symmetry_experiment_mc,
-    total_variation,
     tree_sweep_experiment,
 )
 from .trees import (

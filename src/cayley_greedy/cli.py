@@ -110,8 +110,7 @@ def _make_rule(name: str, rng: trees.RandomSource):
     raise ValueError(f"unknown peeling rule {name!r}")
 
 
-#: outcome table columns; no command fills M and maxIS, which stay empty
-OUTCOME_FIELDS = ["n", "replicate", "G", "theta", "E", "M", "maxIS"]
+OUTCOME_FIELDS = ["n", "replicate", "G", "theta", "E"]
 
 
 def _emit_outcomes(rows: list[dict], args) -> None:

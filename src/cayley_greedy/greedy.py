@@ -761,8 +761,7 @@ def enumeration_law(n: int) -> GreedyLaw:
         determined = np.zeros(rows, dtype=np.uint64)
         sizes = np.zeros(rows, dtype=np.int64)
         steps = np.zeros(rows, dtype=np.int64)
-        # uint64 parents, so the parent bits are uint64 under any promotion rule
-        for v, parent in enumerate(parents.T.astype(np.uint64), start=1):
+        for v, parent in enumerate(parents.T, start=1):
             bit = one << np.uint64(v)
             parent_bit = one << parent
             inspected = (determined & bit) == 0

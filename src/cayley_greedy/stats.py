@@ -48,21 +48,6 @@ class EmpiricalDistribution:
             self.as_probs(), {k: float(v) for k, v in law.items()})
 
 
-#: how far from 1 the total mass of a law given to total_variation may be
-NORMALIZATION_TOL = 1e-9
-
-
-def total_variation(
-    p: Mapping[int, float | Fraction], q: Mapping[int, float | Fraction],
-) -> float | Fraction:
-    """:func:`greedy.total_variation_exact` of two laws that must be normalized."""
-    for name, dist in (("p", p), ("q", q)):
-        s = float(sum(dist.values()))
-        if abs(s - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"distribution {name} sums to {s}, not 1")
-    return greedy.total_variation_exact(p, q)
-
-
 def chi_square_uniform(counts: Sequence[int]) -> tuple[float, float]:
     """Chi-square statistic and p-value against the uniform law on k categories.
 

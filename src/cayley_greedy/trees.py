@@ -446,7 +446,7 @@ class CayleyTree:
     def from_line(cls, line: str) -> "CayleyTree":
         head, _, tail = line.strip().partition(";")
         n = int(head)
-        parents = [int(tok) for tok in tail.split(",") if tok]
+        parents = [int(tok) for tok in tail.split(",")] if tail else []
         return cls(n, parents)
 
     def __eq__(self, other: object) -> bool:
@@ -698,7 +698,7 @@ def _batch_decoder(n: int) -> tuple[int, Callable[[Sequence[int]], np.ndarray]]:
     grid = (np.arange(rows)[:, None] // powers % n + 1).T.astype(dtype)
     # absent[j]: labels 1..n-1 not among the symbols grid[j:]
     absent = [np.full(rows, labels, np.uint64)]
-    for symbol in grid[::-1].astype(np.uint64):  # uint64 bits under any promotion rule
+    for symbol in grid[::-1]:
         absent.insert(0, absent[0] & ~(np.uint64(1) << symbol))
     base = np.arange(-2, rows * (n - 1) - 2, n - 1)  # label x of row i at base[i] + x + 1
 

@@ -19,9 +19,8 @@ library against.
   by one.
 * :func:`prufer_encode` -- the inverse of :func:`cayley_greedy.prufer_decode`,
   for the round-trip tests.
-* :func:`numpy1_casting` -- a stand-in ``np`` under which binary ufuncs
-  promote as NumPy 1.x did, for the bit masks of the exhaustive
-  enumeration.
+* :func:`total_variation` -- the library's total variation sum, on laws
+  checked to be normalized.
 * :func:`drift`, :func:`jacobian`, :func:`ode_solution`,
   :func:`flow_matrix` and :func:`local_covariance` -- the fluid ODE and its
   linearization, from which ``tests/test_fluid.py`` integrates the
@@ -34,7 +33,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -47,6 +45,7 @@ from cayley_greedy.greedy import (
     _greedy_statuses,
     chain_weights,
     greedy_exploration_steps,
+    total_variation_exact,
 )
 from cayley_greedy.trees import CayleyTree, RandomSource
 
@@ -365,53 +364,23 @@ def prufer_encode(tree: CayleyTree) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# NumPy 1.x type promotion
+# Total variation of normalized laws
 # --------------------------------------------------------------------------
 
-#: NumPy 1.x's promotion categories: an integer scalar is cast by its value
-#: when no operand array is of a lower category
-_CATEGORY = {"b": 0, "u": 1, "i": 1, "f": 2, "c": 3}
+#: how far from 1 the total mass of a law given to total_variation may be
+NORMALIZATION_TOL = 1e-9
 
 
-def _numpy1_result_type(operands: Sequence[object]) -> np.dtype:
-    arrays = [x for x in operands if np.ndim(x)]
-    scalars = [x for x in operands if not np.ndim(x)]
-    if arrays and scalars and (max(_CATEGORY[np.asarray(x).dtype.kind] for x in scalars)
-                               <= max(_CATEGORY[x.dtype.kind] for x in arrays)):
-        return np.result_type(*(x.dtype for x in arrays),
-                              *(np.min_scalar_type(x) for x in scalars))
-    return np.result_type(*(np.asarray(x).dtype for x in operands))
-
-
-class _Numpy1Array(np.ndarray):
-    """An array whose two-operand ufunc calls run on the NumPy 1.x
-    result type, so a result that rests on NumPy 2's promotion differs."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        inputs = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
-        if method == "__call__" and ufunc.nin == 2:
-            dtype = _numpy1_result_type(inputs)
-            inputs = [np.asarray(x).astype(dtype) for x in inputs]
-        if out is not None:
-            getattr(ufunc, method)(*inputs, out=tuple(x.view(np.ndarray) for x in out),
-                                   **kwargs)
-            return out[0] if len(out) == 1 else out
-        result = getattr(ufunc, method)(*inputs, **kwargs)
-        if isinstance(result, tuple):
-            return tuple(x.view(_Numpy1Array) for x in result)
-        return result.view(_Numpy1Array) if isinstance(result, np.ndarray) else result
-
-
-def numpy1_casting() -> SimpleNamespace:
-    """numpy's namespace with ``zeros``, ``full``, ``empty`` and ``arange``
-    making :class:`_Numpy1Array`; set as a module's ``np``, every array the
-    module builds from these promotes as under NumPy 1.x."""
-    def made(build):
-        return lambda *args, **kwargs: build(*args, **kwargs).view(_Numpy1Array)
-
-    names = {name: getattr(np, name) for name in dir(np) if not name.startswith("__")}
-    names.update({name: made(names[name]) for name in ("zeros", "full", "empty", "arange")})
-    return SimpleNamespace(**names)
+def total_variation(
+    p: Mapping[int, float | Fraction], q: Mapping[int, float | Fraction],
+) -> float | Fraction:
+    """:func:`cayley_greedy.greedy.total_variation_exact` of two laws that
+    must be normalized."""
+    for name, dist in (("p", p), ("q", q)):
+        s = float(sum(dist.values()))
+        if abs(s - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"distribution {name} sums to {s}, not 1")
+    return total_variation_exact(p, q)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from cayley_greedy import (
     tree_count,
     verify_symmetry_exact,
 )
-from cayley_greedy import greedy, trees
+from cayley_greedy import greedy
 from cayley_greedy.greedy import (
     CHAIN_BLOCK,
     CHAIN_DELTA,
@@ -57,7 +57,6 @@ from oracles import (
     full_absorbed_rows,
     greedy_reference,
     law_from_fractions,
-    numpy1_casting,
     peeling_active_set,
     reference_chain_law,
     status_count_trace,
@@ -753,22 +752,6 @@ def test_exact_law_peak_memory():
     assert peak < 3 * 2**20
 
 
-def test_enumeration_under_numpy1_casting(monkeypatch):
-    # pyproject allows NumPy 1.x, which casts a scalar by its value: with
-    # uint8 labels, a mask bit made from a label would be a uint8 there and
-    # lose bit 8, the root's at n = 8 and label 8's at n = 9
-    expected = exact_chain_law(8).joint
-    lead, _ = trees._batch_decoder(9)
-    last = [9] * lead
-    monkeypatch.setattr(greedy, "np", numpy1_casting())
-    monkeypatch.setattr(trees, "np", numpy1_casting())
-    assert enumeration_law(8).joint == expected
-    _, decode = trees._batch_decoder(9)
-    tails = itertools.product(range(1, 10), repeat=7 - lead)
-    assert [tuple(row) for row in decode(last).tolist()] == [
-        prufer_decode([*last, *tail], 9).parents for tail in tails]
-
-
 def test_enumeration_law_peak_memory():
     # one batch of at most 4096 parent tables is live at a time
     tracemalloc.start()
@@ -1314,9 +1297,9 @@ def test_statistics_only_read_the_parent_array(share, monkeypatch):
 def test_write_outcomes_csv(tmp_path, capsys):
     text = _csv(OUTCOME_FIELDS, [
         {"n": 3, "replicate": 0, "G": 2, "theta": 2, "E": 1},
-        {"n": 3, "replicate": 1, "M": 1},
+        {"n": 3, "replicate": 1},
     ])
-    assert text == "n,replicate,G,theta,E,M,maxIS\n3,0,2,2,1,,\n3,1,,,,1,\n"
+    assert text == "n,replicate,G,theta,E\n3,0,2,2,1\n3,1,,,\n"
     # --out writes the bytes the command prints, with LF line ends
     path = tmp_path / "out.csv"
     argv = ["greedy", "--n", "30", "--replicates", "3", "--seed", "8"]

@@ -36,7 +36,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 #: library code that nothing runs but that stays, with what will call it
 KEEP = {
     "peeling.count_containing_trees": "ROADMAP item 3: the source of the parent law",
-    "stats.total_variation": "ROADMAP item 2: the exact (G, E) law and its float twin",
     "stats.gaussian_lattice_distance": "ROADMAP item 14: the limits command; "
                                        "criterion 5 measures with it",
     "cli._Parser.error": "an argparse override: argparse calls it",

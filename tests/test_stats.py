@@ -23,7 +23,6 @@ from cayley_greedy import (
     sample_uniform,
     simulate_status_chain_many,
     symmetry_experiment_mc,
-    total_variation,
     tree_sweep_experiment,
 )
 from cayley_greedy.cli import _emit_reports, main
@@ -32,6 +31,7 @@ from cayley_greedy.stats import (
     gaussian_lattice_distance,
     sweep_workers,
 )
+from oracles import total_variation
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,8 @@ def test_tree_rejects_cycles_and_bad_labels():
 
 
 def test_from_line_and_read_trees_reject_cycles_and_bad_labels(tmp_path):
-    for line in ("3;2,1", "3;4,3"):  # a cycle, an out-of-range label
+    # a cycle, an out-of-range label, and empty parent fields
+    for line in ("3;2,1", "3;4,3", "3;3,,3", "3;,3,3", "3;3,3,"):
         with pytest.raises(ValueError):
             CayleyTree.from_line(line)
         path = tmp_path / "trees.txt"
