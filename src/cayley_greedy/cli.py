@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Iterable
 
 from . import fluid, greedy, peeling, stats, trees
 from .stats import DEFAULT_SEED
@@ -19,9 +20,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _note_seed(args) -> None:
-    if hasattr(args, "seed"):
-        print(f"seed: {args.seed:#x}", file=sys.stderr)
+def _note_seed(seed: int) -> None:
+    """The seed on stderr, once the run has its result: bad input leaves one line."""
+    print(f"seed: {seed:#x}", file=sys.stderr)
 
 
 def _json(payload) -> str:
@@ -37,6 +38,11 @@ def _csv(fields: list[str], rows: list[dict]) -> str:
     lines = [",".join(fields)]
     lines += [",".join(str(row.get(k, "")) for k in fields) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _emit_table(fields: list[str], rows: list[dict], fmt: str, out: str | None) -> None:
+    """Rows as CSV with the columns ``fields`` if ``fmt`` is "csv", else as JSON lines."""
+    _emit(_csv(fields, rows) if fmt == "csv" else _jsonl(rows), out)
 
 
 def _sig15(x: float) -> float:
@@ -73,92 +79,78 @@ def cmd_peel(args) -> int:
         raise ValueError(f"--seed does nothing with --fixed-tree and --alg {args.alg}: "
                          "the exploration draws no random numbers")
     rng = trees.RandomSource(DEFAULT_SEED if args.seed is None else args.seed)
+    tree = None
     if args.fixed_tree:
         tree = _load_single_tree(args.fixed_tree)
         if args.n is not None and args.n != tree.n:
             raise ValueError(f"--n {args.n} does not match the "
                              f"{tree.n}-vertex tree in {args.fixed_tree}")
-        if args.alg == "greedy":
-            steps, outcome = greedy.greedy_exploration_steps(tree)
-            print(f"size={outcome.size} steps={outcome.steps} "
-                  f"root_last={outcome.root_last}", file=sys.stderr)
-        else:
-            rule = _make_rule(args.alg, rng.child(1))
-            steps = peeling.peel_fixed_tree(tree, rule)
+    elif args.n is None:
+        raise ValueError("--n is required for a Markov exploration")
+    # a Markov run reads child 0 for its parents, and the unif rule child 1
+    if args.alg == "greedy":
+        steps, outcome = (greedy.greedy_markov_peeling(args.n, rng.child(0)) if tree is None
+                          else greedy.greedy_exploration_steps(tree))
+        print(f"size={outcome.size} steps={outcome.steps} "
+              f"root_last={outcome.root_last}", file=sys.stderr)
     else:
-        if args.n is None:
-            raise ValueError("--n is required for a Markov exploration")
-        if args.alg == "greedy":
-            steps, outcome = greedy.greedy_markov_peeling(args.n, rng.child(0))
-            print(f"size={outcome.size} steps={outcome.steps} "
-                  f"root_last={outcome.root_last}", file=sys.stderr)
-        else:
-            rule = _make_rule(args.alg, rng.child(1))
+        rule = (peeling.UniformRule(rng.child(1)) if args.alg == "unif"
+                else peeling.SmallestLabelRule())
+        if tree is None:
             steps, final = peeling.peel_markov(args.n, rule, rng.child(0))
             print(f"final tree: {final.to_line()}", file=sys.stderr)
+        else:
+            steps = peeling.peel_fixed_tree(tree, rule)
     rows = [{"step": i, "peeled": s.peeled, "parent": s.parent,
              "recolored": int(s.recolored_to_blue)} for i, s in enumerate(steps, start=1)]
     _emit(_csv(["step", "peeled", "parent", "recolored"], rows), args.out)
     return 0
 
 
-def _make_rule(name: str, rng: trees.RandomSource):
-    if name == "unif":
-        return peeling.UniformRule(rng)
-    if name == "ab":
-        return peeling.SmallestLabelRule()
-    raise ValueError(f"unknown peeling rule {name!r}")
-
-
 OUTCOME_FIELDS = ["n", "replicate", "G", "theta", "E"]
 
 
-def _emit_outcomes(rows: list[dict], args) -> None:
-    text = _jsonl(rows) if args.format == "json" else _csv(OUTCOME_FIELDS, rows)
-    _emit(text, args.out)
+def _emit_outcomes(outcomes: Iterable[tuple[int, int, int]], args) -> None:
+    """One row per (G, theta, E) triple, numbered as replicates from 0."""
+    rows = [{"n": args.n, "replicate": i, "G": g, "theta": t, "E": e}
+            for i, (g, t, e) in enumerate(outcomes)]
+    _emit_table(OUTCOME_FIELDS, rows, args.format, args.out)
 
 
 def cmd_greedy(args) -> int:
-    _note_seed(args)
     master = trees.RandomSource(args.seed)
-    rows = []
-    for i in range(args.replicates):
-        out = greedy.greedy_peeling(trees.sample_uniform(args.n, master.child(i)))
-        rows.append({"n": args.n, "replicate": i,
-                     "G": out.size, "theta": out.steps, "E": out.root_last})
-    _emit_outcomes(rows, args)
+    outcomes = [greedy.greedy_peeling(trees.sample_uniform(args.n, master.child(i)))
+                for i in range(args.replicates)]
+    _note_seed(args.seed)
+    _emit_outcomes([(o.size, o.steps, o.root_last) for o in outcomes], args)
     return 0
 
 
 def _emit_reports(reports: list[stats.ExperimentReport], out: str | None,
-                  csv: bool = False) -> int:
-    """Reports as JSON lines, or CSV; exit code 1 if any failed."""
+                  fmt: str = "json") -> int:
+    """Reports as a table in the format ``fmt``; exit code 1 if any failed."""
     rows = [dataclasses.asdict(r) for r in reports]
     fields = [f.name for f in dataclasses.fields(stats.ExperimentReport)]
-    _emit(_csv(fields, rows) if csv else _jsonl(rows), out)
+    _emit_table(fields, rows, fmt, out)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_sweep(args) -> int:
     """``matching`` and ``max-is``: the command names the sweep kind."""
-    _note_seed(args)
     report = stats.tree_sweep_experiment(
         args.command, args.n, args.replicates, args.seed, jobs=args.jobs
     )
+    _note_seed(args.seed)
     return _emit_reports([report], args.out)
 
 
 def cmd_chain(args) -> int:
-    _note_seed(args)
     rng = trees.RandomSource(args.seed)
     sizes, steps, root_last = greedy.simulate_status_chain_many(
         args.n, args.replicates, rng
     )
-    rows = [
-        {"n": args.n, "replicate": i, "G": g, "theta": t, "E": e}
-        for i, (g, t, e) in enumerate(zip(sizes.tolist(), steps.tolist(), root_last.tolist()))
-    ]
-    _emit_outcomes(rows, args)
+    _note_seed(args.seed)
+    _emit_outcomes(zip(sizes.tolist(), steps.tolist(), root_last.tolist()), args)
     return 0
 
 
@@ -173,6 +165,10 @@ def cmd_verify_symmetry(args) -> int:
         raise ValueError("--cross-check does nothing with --mc: it compares "
                          "the exact law with enumeration")
     if args.exact:
+        for flag in ("seed", "replicates"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does nothing with --exact: "
+                                 "the exact law draws no random numbers")
         check = greedy.verify_symmetry_exact(args.n, cross_check=args.cross_check)
         payload = {
             "n": args.n,
@@ -182,15 +178,17 @@ def cmd_verify_symmetry(args) -> int:
         }
         _emit(_json(payload), args.out)
         return 0 if check.tv == 0 else 1
-    _note_seed(args)
-    report = stats.symmetry_experiment_mc(args.n, args.replicates, args.seed)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    replicates = DEFAULT_REPLICATES if args.replicates is None else args.replicates
+    report = stats.symmetry_experiment_mc(args.n, replicates, seed)
+    _note_seed(seed)
     return _emit_reports([report], args.out)
 
 
 def cmd_clt(args) -> int:
-    _note_seed(args)
     reports = stats.clt_experiment(args.n, args.replicates, args.seed)
-    return _emit_reports(reports, args.out, csv=args.format == "csv")
+    _note_seed(args.seed)
+    return _emit_reports(reports, args.out, args.format)
 
 
 def cmd_fluid(args) -> int:
@@ -205,6 +203,10 @@ def cmd_fluid(args) -> int:
     }
     _emit(_json(payload), args.out)
     return 0
+
+
+#: replicates of a Monte Carlo command without --replicates
+DEFAULT_REPLICATES = 1000
 
 
 def positive_int(text: str) -> int:
@@ -234,7 +236,7 @@ def _add_common(p, with_replicates=False, with_jobs=False, with_format=False,
                 with_seed=True):
     p.add_argument("--n", type=int, required=True)
     if with_replicates:
-        p.add_argument("--replicates", type=positive_int, default=1000)
+        p.add_argument("--replicates", type=positive_int, default=DEFAULT_REPLICATES)
     if with_jobs:
         p.add_argument("--jobs", type=positive_int, default=1)
     if with_seed:
@@ -292,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--mc", action="store_true")
     p.add_argument("--cross-check", action="store_true",
                    help="with --exact, also compare the exact law against full enumeration")
-    p.set_defaults(func=cmd_verify_symmetry)
+    # None tells an explicit --seed or --replicates apart, which --exact refuses
+    p.set_defaults(func=cmd_verify_symmetry, seed=None, replicates=None)
 
     p = sub.add_parser("clt", help="Gaussian-limit verification reports")
     _add_common(p, with_replicates=True, with_format=True)

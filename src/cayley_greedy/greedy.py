@@ -351,6 +351,10 @@ CHAIN_BLOCK = 8192
 #: draw rows per ``gen.random`` batch of :func:`_chain_block`, one per step
 _DRAW_ROWS = 32
 
+#: largest n whose float64 lane rows in :func:`_chain_block` stay exact
+#: integers, n*n < 2**53
+CHAIN_MAX_N = math.isqrt(2**53 - 1)
+
 
 def simulate_status_chain_many(
     n: int,
@@ -364,11 +368,15 @@ def simulate_status_chain_many(
     child stream ``rng.child(block_index)``, so results are bit-for-bit
     reproducible for a given (seed, n, replicates) regardless of worker
     count or block scheduling.  ``n`` and ``replicates`` must be integers
-    (``operator.index``); anything else raises TypeError.
+    (``operator.index``); anything else raises TypeError.  n above
+    :data:`CHAIN_MAX_N` raises ValueError before any block runs.
     """
     n, replicates = index(n), index(replicates)
     if n < 1 or replicates < 1:
         raise ValueError("need n >= 1 and replicates >= 1")
+    if n > CHAIN_MAX_N:
+        raise ValueError(f"n={n} above {CHAIN_MAX_N}: the status chain's float64 "
+                         "lanes hold exact integers only while n*n < 2**53")
     sizes = np.empty(replicates, dtype=np.int64)
     steps = np.empty(replicates, dtype=np.int64)
     root_last = np.empty(replicates, dtype=np.int64)
@@ -403,11 +411,11 @@ def _chain_block(
     (p, aw, bw, n*[c = 0], ab, c + 1, n*max(c, 1)), where p is the pair
     weight of :func:`chain_weights` (u - 2 before the root connects, u - 1
     after) and c = ab + bb.  Every row holds exact integers while
-    n*n < 2**53 (n < 9.4e7), and every one moves linearly with the column
-    (:data:`_LANE_DELTA`).  A step makes ten numpy calls over the live
-    lanes, and the done check and the draw gather below only when they are
-    due; the row views it reads are made once per block and again after
-    each lane compaction:
+    n*n < 2**53, so n <= :data:`CHAIN_MAX_N`, and every one moves linearly
+    with the column (:data:`_LANE_DELTA`).  A step makes ten numpy calls
+    over the live lanes, and the done check and the draw gather below only
+    when they are due; the row views it reads are made once per block and
+    again after each lane compaction:
 
     * Thresholds.  Five rows, summed in place row by row, from the weights
       of :func:`chain_weights`: one division of the first four lane rows

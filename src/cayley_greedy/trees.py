@@ -41,9 +41,10 @@ def _cap(default: int) -> int:
 #   3. absorb the seed's further words, then each path entry's words, low
 #      word first, each word mixed into all four pool words;
 #   4. hash the pool into the two 64-bit key words.
-# Step 3 is sequential, so a child's pool is its parent's pool plus the
-# child index's words.  The hash constant advances by one multiplication per
-# hashed word and never depends on the data.
+# A root's pool after steps 1-3 is SeedSequence's own ``pool``.  Step 3 is
+# sequential, so a child's pool is its parent's pool plus the child index's
+# words, absorbed here.  The hash constant advances by one multiplication
+# per hashed word and never depends on the data.
 _MASK32 = 0xFFFFFFFF
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -60,40 +61,13 @@ _KEY_B4 = _KEY_B3 * _MULT_B & _MASK32
 _Pool = tuple[int, int, int, int, int]
 
 
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    """(hashed word, next hash constant)."""
-    value ^= hash_const
-    hash_const = hash_const * _MULT_A & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ (value >> 16), hash_const
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ (r >> 16)
-
-
-def _seed_pool(seed: int) -> _Pool:
-    """Pool after steps 1-3 for an empty path."""
-    pool = []
-    hash_const = _INIT_A
-    for i in range(4):
-        word, hash_const = _hashmix((seed >> 32 * i) & _MASK32, hash_const)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                word, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], word)
-    state = (*pool, hash_const)
-    return _absorb(state, seed >> 128) if seed >> 128 else state
-
-
 def _absorb(state: _Pool, value: int) -> _Pool:
     """Mix the 32-bit words of a non-negative int into the pool, low word first.
 
-    Zero counts as one word.  This is every child stream's hot path, so the
-    four pool updates of ``_mix(p, _hashmix(word, c))`` are written out.
+    Zero counts as one word.  Each word is hashed four times, the constant
+    ``c`` advancing each time, and each hash is mixed into one pool word;
+    this is every child stream's hot path, so the four updates are written
+    out.
     """
     p0, p1, p2, p3, c = state
     while True:
@@ -170,11 +144,12 @@ class RandomSource:
     The stream of ``(seed, path)`` is Philox keyed with
     ``SeedSequence(entropy=seed, spawn_key=path).generate_state(2, uint64)``,
     but the key is derived here: each source caches its seed-sequence pool,
-    and a child's pool is its parent's plus one absorbed index, so a child
-    pays for its own index only.  A source that only spawns children, and
-    is never drawn from, costs nothing.  ``child`` keeps a reference to its
-    parent.  Seeds and child indices must be non-negative integers, as
-    ``SeedSequence`` requires; they are checked here, not at first draw.
+    a root's taken from ``SeedSequence(seed).pool``, and a child's pool is
+    its parent's plus one absorbed index, so a child pays for its own index
+    only.  A source that only spawns children, and is never drawn from,
+    costs nothing.  ``child`` keeps a reference to its parent.  Seeds and
+    child indices must be non-negative integers, as ``SeedSequence``
+    requires; they are checked here, not at first draw.
 
     Scalar draws are computed here from raw Philox words with numpy's own
     arithmetic, so they equal ``Generator.random()`` and
@@ -217,7 +192,10 @@ class RandomSource:
         if state is None:
             parent = self._parent
             if parent is None:
-                state = _seed_pool(self.seed)
+                # steps 1-3 hash four times per seed word, padded to four
+                words = max(4, -(-self.seed.bit_length() // 32))
+                state = (*np.random.SeedSequence(self.seed).pool.tolist(),
+                         _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32)
             else:
                 state = _absorb(parent._pool_state(), self._index)
             self._pool = state
@@ -474,8 +452,16 @@ def format_trees(trees: Iterable[CayleyTree]) -> str:
 
 
 def read_trees(filename: str) -> list[CayleyTree]:
+    """The trees of a tree file; a malformed line's error names the file and line."""
+    loaded = []
     with open(filename, encoding="utf-8") as fh:
-        return [CayleyTree.from_line(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    loaded.append(CayleyTree.from_line(line))
+                except ValueError as err:
+                    raise ValueError(f"{filename}, line {number}: {err}") from err
+    return loaded
 
 
 # --------------------------------------------------------------------------
@@ -634,7 +620,7 @@ def sample_uniform(n: int, rng: RandomSource) -> CayleyTree:
 
 #: trees decoded per batch by :func:`_parent_batches`: the trailing k symbols
 #: of the sequence run over a grid of n^k rows, the largest that fits here
-_BATCH_TREES = 4096
+_BATCH_TREES = 8192
 
 #: largest n whose labels 0..n fit the uint64 masks of :func:`_parent_batches`
 #: and ``greedy.enumeration_law``, whatever the cap

@@ -343,6 +343,9 @@ def test_negative_seed_exits_two(argv, capsys):
     # deterministic commands read no seed
     ["enumerate", "--n", "3", "--seed", "5"],
     ["exact-law", "--n", "3", "--seed", "5"],
+    # the exact check draws no random numbers
+    ["verify-symmetry", "--exact", "--n", "5", "--seed", "3"],
+    ["verify-symmetry", "--exact", "--n", "5", "--replicates", "10"],
 ])
 def test_flags_that_do_nothing_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -365,6 +368,16 @@ def test_cross_check_with_mc_is_rejected(capsys):
     assert captured.err.splitlines() == [
         "cayley-greedy: error: --cross-check does nothing with --mc: it compares "
         "the exact law with enumeration"]
+
+
+def test_exact_symmetry_refusal_leaves_the_mc_defaults(capsys):
+    # --exact refuses --seed and --replicates; --mc without them still runs
+    # 1000 replicates from the default seed
+    assert main(["verify-symmetry", "--mc", "--n", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "seed: 0x5eed\n"
+    report = json.loads(captured.out)
+    assert (report["replicates"], report["seed"]) == (1000, 0x5EED)
 
 
 def _bad_input_cases(tmp_path):
@@ -391,6 +404,8 @@ def _bad_input_cases(tmp_path):
         # labels past 63 do not fit the enumeration's 64-bit masks
         "enumeration past the mask width": (["enumerate", "--n", "64"],
                                             {"CAYLEY_GREEDY_CAP": "64"}),
+        # n*n past 2**53 is not exact in the chain's float64 lanes
+        "chain past exact floats": (["chain", "--n", "94906266", "--replicates", "1"], {}),
     }
 
 
@@ -398,7 +413,8 @@ def _bad_input_cases(tmp_path):
                                   "fixed tree of another size", "empty parent field",
                                   "peel without n", "seed with a fixed tree",
                                   "unwritable out", "cap not an integer",
-                                  "negative cap", "enumeration past the mask width"])
+                                  "negative cap", "enumeration past the mask width",
+                                  "chain past exact floats"])
 def test_bad_input_exits_two_with_one_line(case, tmp_path, capsys, monkeypatch):
     argv, env = _bad_input_cases(tmp_path)[case]
     for name, value in env.items():

@@ -402,6 +402,26 @@ def test_simulate_status_chain_needs_integer_sizes():
         assert a.dtype == np.int64 and np.array_equal(a, b)
 
 
+def test_simulate_status_chain_refuses_sizes_past_exact_floats(monkeypatch):
+    # the lane rows hold multiples of n up to n*n in float64, exact only
+    # while n*n < 2**53; a stand-in block shows the check runs before any
+    # block at the refused size, and lets the largest allowed one through
+    assert 94_906_265 ** 2 < 2 ** 53 <= 94_906_266 ** 2
+    blocks = []
+
+    def block(n, width, gen):
+        blocks.append(n)
+        zeros = np.zeros(width, np.int64)
+        return zeros, zeros, zeros
+
+    monkeypatch.setattr(greedy, "_chain_block", block)
+    with pytest.raises(ValueError, match=r"n=94906266 above 94906265"):
+        simulate_status_chain_many(94_906_266, 1, RandomSource(0))
+    assert blocks == []
+    simulate_status_chain_many(94_906_265, 1, RandomSource(0))
+    assert blocks == [94_906_265]
+
+
 #: a size and a call of each other entry point that reads a size through
 #: operator.index; sample_uniform decodes in array passes from n = 500
 SIZED_CALLS = {
@@ -753,7 +773,7 @@ def test_exact_law_peak_memory():
 
 
 def test_enumeration_law_peak_memory():
-    # one batch of at most 4096 parent tables is live at a time
+    # one batch of 8^4 = 4096 parent tables is live at a time
     tracemalloc.start()
     try:
         enumeration_law(8)

@@ -244,7 +244,7 @@ def test_report_serialization(tmp_path, capsys):
     fields = ["n", "replicates", "seed", "statistic", "observed", "target",
               "tolerance", "lower", "upper", "passed"]
     assert list(row) == sorted(fields)
-    assert _emit_reports(reports, None, csv=True) == 0
+    assert _emit_reports(reports, None, "csv") == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [",".join(fields), "3,10,7,a,1.0,1.0,0.1,0.9,1.1,True"]
     # --out writes the bytes the command prints, in both formats

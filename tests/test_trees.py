@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -116,18 +117,18 @@ def test_parent_batches_decode_in_product_order(n):
     rows = [tuple(row) for batch in batches for row in batch.tolist()]
     sequences = itertools.product(range(1, n + 1), repeat=max(n - 2, 0))
     assert rows == [prufer_decode(list(seq), n).parents for seq in sequences]
-    # at n = 7 the grid holds the trailing 4 symbols, 7^4 <= 4096 < 7^5
+    # at n = 7 the grid holds the trailing 4 symbols, 7^4 <= 8192 < 7^5
     assert len(batches) == (7 if n == 7 else 1)
 
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_batch_decode_past_the_exhaustive_range(n):
     # n = 8 is the first size whose batches fix two leading symbols, and
-    # n = 9 fixes four; the first, an inner and the last prefix are
-    # decoded.  The inner one, (3, 6) and (4, 1, 1, 1), is no palindrome,
-    # so a prefix folded in reverse order shows
+    # n = 9 fixes three (9^4 <= 8192 < 9^5); the first, an inner and the
+    # last prefix are decoded.  The inner one, (3, 6) and (4, 1, 1), is no
+    # palindrome, so a prefix folded in reverse order shows
     lead, decode = _batch_decoder(n)
-    assert lead == {8: 2, 9: 4}[n]
+    assert lead == {8: 2, 9: 3}[n]
     prefixes = list(itertools.product(range(1, n + 1), repeat=lead))
     inner = len(prefixes) // 3
     for prefix in (prefixes[0], prefixes[inner], prefixes[-1]):
@@ -188,13 +189,14 @@ def test_tree_rejects_cycles_and_bad_labels():
 
 
 def test_from_line_and_read_trees_reject_cycles_and_bad_labels(tmp_path):
-    # a cycle, an out-of-range label, and empty parent fields
+    # a cycle, an out-of-range label, and empty parent fields; the file's
+    # error names the file and the bad line's number
     for line in ("3;2,1", "3;4,3", "3;3,,3", "3;,3,3", "3;3,3,"):
         with pytest.raises(ValueError):
             CayleyTree.from_line(line)
         path = tmp_path / "trees.txt"
         path.write_text("2;2\n" + line + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: ")):
             read_trees(str(path))
 
 
