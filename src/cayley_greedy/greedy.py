@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from contextlib import closing
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -367,7 +368,10 @@ def simulate_status_chain_many(
     Replicates are processed in fixed-size blocks, each driven by its own
     child stream ``rng.child(block_index)``, so results are bit-for-bit
     reproducible for a given (seed, n, replicates) regardless of worker
-    count or block scheduling.  ``n`` and ``replicates`` must be integers
+    count or block scheduling.  Each block's ``Generator`` is built here,
+    in the calling thread, and the block's draw thread reads only that
+    one, so the results depend neither on thread timing nor on the CPU
+    count.  ``n`` and ``replicates`` must be integers
     (``operator.index``); anything else raises TypeError.  n above
     :data:`CHAIN_MAX_N` raises ValueError before any block runs.
     """
@@ -393,11 +397,34 @@ def simulate_status_chain_many(
     return sizes, steps, root_last
 
 
-def _draw_rows(gen: np.random.Generator, width: int):
+def _draw_rows(gen: np.random.Generator, width: int, rows: int):
     """The rows of ``gen.random((_DRAW_ROWS, width))`` batches, in order,
-    drawing a batch only when its first row is asked for."""
-    while True:
-        yield from gen.random((_DRAW_ROWS, width))
+    as many batches as ``rows`` rows fill.
+
+    The first batch is drawn in the calling thread.  While the rows of
+    batch k are read, one worker thread draws batch k + 1 if the ``rows``
+    rows reach into it: numpy's fills release the GIL, so the draw leaves
+    the caller's path, and a block of one batch starts no thread.  The
+    batches are drawn one at a time and in order, so the rows are those of
+    the same calls made inline.  At most one batch is drawn past the last
+    row read.  An exception raised by a draw reaches the reader of that
+    batch's first row; one raised by the batch drawn ahead and never read
+    is dropped.  Reading past ``rows`` rows raises AssertionError.  Closing
+    the generator joins the worker.
+    """
+    # imported here: concurrent.futures costs the CLI's start-up about 5 ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    shape = (_DRAW_ROWS, width)
+    left = -(-rows // _DRAW_ROWS)  # batches not yet drawn
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = None
+        while left:
+            batch = gen.random(shape) if ahead is None else ahead.result()
+            left -= 1
+            ahead = worker.submit(gen.random, shape) if left else None
+            yield from batch
+    raise AssertionError(f"a chain block read more than {rows} draw rows")
 
 
 def _chain_block(
@@ -407,11 +434,16 @@ def _chain_block(
 
     Lane i reads column i of each ``gen.random((_DRAW_ROWS, width))`` batch,
     one row per step, so the draws are fixed by the block and not by which
-    lanes are still running.  The lane state is seven float64 rows,
-    (p, aw, bw, n*[c = 0], ab, c + 1, n*max(c, 1)), where p is the pair
-    weight of :func:`chain_weights` (u - 2 before the root connects, u - 1
-    after) and c = ab + bb.  Every row holds exact integers while
-    n*n < 2**53, so n <= :data:`CHAIN_MAX_N`, and every one moves linearly
+    lanes are still running.  A lane steps at most n times, and its
+    forced root-last step reads no draw, so the block reads at most n
+    rows.  A worker thread of :func:`_draw_rows` draws the next batch
+    while the lanes step through this one, when those n rows reach into
+    it; it reads only ``gen``, which nothing else may read during the
+    call, and it is joined before the block returns or raises.  The lane
+    state is seven float64 rows, (p, aw, bw, n*[c = 0], ab, c + 1,
+    n*max(c, 1)), where p is the pair weight of :func:`chain_weights`
+    (u - 2 before the root connects, u - 1 after) and c = ab + bb.  Every
+    row holds exact integers while n*n < 2**53, so n <= :data:`CHAIN_MAX_N`, and every one moves linearly
     with the column (:data:`_LANE_DELTA`).  A step makes ten numpy calls
     over the live lanes, and the done check and the draw gather below only
     when they are due; the row views it reads are made once per block and
@@ -462,44 +494,45 @@ def _chain_block(
     sizes = np.empty(width, dtype=np.int64)
     theta = np.empty(width, dtype=np.int64)
     last = np.empty(width, dtype=np.int64)
-    draws = _draw_rows(gen, width)
-    step = next_check = 0
-    while lanes.size:
-        full = lanes.size == width
-        buf = np.ones((6, lanes.size))  # t0..t4, then b1..b5; the last row stays 1
-        t = buf[:5]
-        t03 = buf[:4]
-        t0, t1, t2, t3, t4 = t
-        p, ab, c1, m = state[0], state[4], state[5], state[6]
-        head = state[:4]
-        while True:
-            if step == next_check:
-                p_min = int(p.min())
-                next_check = step + 1 + max(p_min, 0) // _P_DROP
-                if p_min < 0:
-                    done = p < 0
-                    final = state[:, done]
-                    root_last = final[3] != 0
-                    out = lanes[done]
-                    sizes[out] = final[1] + final[4] + root_last
-                    theta[out] = step + root_last
-                    last[out] = root_last
-                    keep = ~done
-                    state = state[:, keep]
-                    lanes = lanes[keep]
-                    break
-            row = next(draws)
-            x = row if full else row.take(lanes)
-            np.divide(head, n, out=t03)
-            np.multiply(ab, c1, out=t4)
-            t4 /= m
-            t1 += t0
-            t2 += t1
-            t3 += t2
-            t4 += t3
-            np.less_equal(t, x, out=t)
-            state += step_matrix @ buf
-            step += 1
+    # closing joins the draw thread also when the kernel or a draw raises
+    with closing(_draw_rows(gen, width, n)) as draws:
+        step = next_check = 0
+        while lanes.size:
+            full = lanes.size == width
+            buf = np.ones((6, lanes.size))  # t0..t4, then b1..b5; the last row stays 1
+            t = buf[:5]
+            t03 = buf[:4]
+            t0, t1, t2, t3, t4 = t
+            p, ab, c1, m = state[0], state[4], state[5], state[6]
+            head = state[:4]
+            while True:
+                if step == next_check:
+                    p_min = int(p.min())
+                    next_check = step + 1 + max(p_min, 0) // _P_DROP
+                    if p_min < 0:
+                        done = p < 0
+                        final = state[:, done]
+                        root_last = final[3] != 0
+                        out = lanes[done]
+                        sizes[out] = final[1] + final[4] + root_last
+                        theta[out] = step + root_last
+                        last[out] = root_last
+                        keep = ~done
+                        state = state[:, keep]
+                        lanes = lanes[keep]
+                        break
+                row = next(draws)
+                x = row if full else row.take(lanes)
+                np.divide(head, n, out=t03)
+                np.multiply(ab, c1, out=t4)
+                t4 /= m
+                t1 += t0
+                t2 += t1
+                t3 += t2
+                t4 += t3
+                np.less_equal(t, x, out=t)
+                state += step_matrix @ buf
+                step += 1
     return sizes, theta, last
 
 

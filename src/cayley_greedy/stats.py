@@ -315,7 +315,12 @@ def tree_sweep_experiment(
     }
     if kind not in targets:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    workers = sweep_workers(jobs, replicates, os.cpu_count())
+    # the CPUs this process may run on (taskset, cpusets), not the machine's
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    workers = sweep_workers(jobs, replicates, cpus)
     if workers == 1:
         values = _ratio_values(kind, n, seed, 0, replicates)
     else:

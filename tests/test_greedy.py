@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import math
+import threading
+import time
 import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -565,16 +567,74 @@ def _masked_chain_block(n, width, gen, draw_rows=256):
     return aw + ab, theta, last.astype(np.int64)
 
 
+class SlowDraws:
+    """A generator whose every batch takes a millisecond more, so the chain
+    kernel waits on its draw thread."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def random(self, shape):
+        time.sleep(0.001)
+        return self.gen.random(shape)
+
+
 @pytest.mark.parametrize("width,draw_rows", [(1, 256), (7, 3), (64, 256), (300, 5)])
 def test_chain_block_equals_masked_reference(width, draw_rows, monkeypatch):
-    # short draw batches make lanes retire across batch boundaries
+    # short draw batches make lanes retire across batch boundaries, and the
+    # slow generator makes the kernel wait on its draw thread
     monkeypatch.setattr(greedy, "_DRAW_ROWS", draw_rows)
     for n in [*range(1, 41), 97, 250]:
         seed = [n, width, draw_rows]
-        new = _chain_block(n, width, np.random.default_rng(seed))
         ref = _masked_chain_block(n, width, np.random.default_rng(seed), draw_rows)
-        for a, b in zip(new, ref):
-            assert np.array_equal(a, b), (n, width, draw_rows)
+        for gen in np.random.default_rng(seed), SlowDraws(np.random.default_rng(seed)):
+            new = _chain_block(n, width, gen)
+            for a, b in zip(new, ref):
+                assert np.array_equal(a, b), (n, width, draw_rows, type(gen).__name__)
+
+
+class CountingDraws:
+    """A generator that notes the thread drawing each batch and raises on
+    batch ``fail_at``."""
+
+    def __init__(self, gen, fail_at=None):
+        self.gen = gen
+        self.fail_at = fail_at
+        self.threads = []
+
+    def random(self, shape):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError(f"batch {self.fail_at}")
+        return self.gen.random(shape)
+
+
+def test_chain_draw_thread_ends_with_the_block(monkeypatch):
+    # the draw thread is joined when the block returns and when a draw
+    # raises, and the draw's exception reaches the caller; the calling
+    # thread draws the first batch, the worker the others one batch ahead
+    # of the rows read, and no more batches than n rows fill, so a block
+    # of one batch starts no thread
+    before = threading.enumerate()
+    simulate_status_chain_many(500, 10_000, RandomSource(17))
+    assert threading.enumerate() == before
+    monkeypatch.setattr(greedy, "_DRAW_ROWS", 2)
+    with pytest.raises(RuntimeError, match="batch 2"):
+        _chain_block(40, 5, CountingDraws(np.random.default_rng(0), fail_at=2))
+    assert threading.enumerate() == before
+    for n in [2, 3, 40]:
+        counted = CountingDraws(np.random.default_rng(n))
+        _, theta, last = _chain_block(n, 5, counted)
+        rows = int((theta - last).max())  # the forced root-last step reads no draw
+        assert len(counted.threads) == min(-(-rows // 2) + 1, -(-n // 2)), n
+        assert counted.threads[0] is threading.current_thread()
+        assert threading.current_thread() not in counted.threads[1:]
+        assert threading.enumerate() == before
+    draws = greedy._draw_rows(np.random.default_rng(0), 1, 3)
+    assert len(list(itertools.islice(draws, 4))) == 4  # whole batches
+    with pytest.raises(AssertionError, match="more than 3 draw rows"):
+        next(draws)
+    assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("draw_rows", [2, 3, 4, 5, 32])

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cayley_greedy import greedy
+from cayley_greedy import greedy, stats
 from cayley_greedy import (
     EmpiricalDistribution,
     ExperimentReport,
@@ -382,11 +382,35 @@ def test_tree_sweep_greedy_tree_loose():
 
 
 def test_tree_sweep_jobs_invariance(monkeypatch):
-    # four CPUs, so that jobs=3 runs the pool also on a one-CPU machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # four CPUs in the affinity mask, so that jobs=3 runs the pool also on
+    # a one-CPU machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     serial = tree_sweep_experiment("matching", 60, 24, seed=26, jobs=1)
     parallel = tree_sweep_experiment("matching", 60, 24, seed=26, jobs=3)
     assert serial.observed == parallel.observed
+
+
+@pytest.mark.parametrize("affinity", [{0}, None])
+def test_tree_sweep_counts_the_cpus_it_may_use(affinity, monkeypatch):
+    # pinned to one CPU (taskset -c 0) of the four that os.cpu_count
+    # counts, or with one CPU on a platform without affinity masks, jobs=3
+    # runs serially: one call in this process, where a pool would pickle
+    # the stand-in and fail
+    calls = []
+
+    def values(*args):
+        calls.append(args)
+        return [0.375] * (args[4] - args[3])
+
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(stats, "_ratio_values", values)
+    tree_sweep_experiment("matching", 60, 24, seed=26, jobs=3)
+    assert calls == [("matching", 60, 26, 0, 24)]
 
 
 @pytest.mark.parametrize("jobs,replicates,cpus,expected", [
