@@ -52,14 +52,14 @@ from contextlib import closing
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .peeling import PeelStep
 from .trees import (
-    CayleyTree, RandomSource, _cap, _parent_batches, tree_count,
+    CayleyTree, RandomSource, _cap, _parent_batches, _size, tree_count,
 )
 
 #: largest size accepted by exact_chain_law unless CAYLEY_GREEDY_CAP overrides it
@@ -242,9 +242,7 @@ def greedy_markov_peeling(n: int, rng: RandomSource):
     Returns (steps, outcome); the outcome triple has the same law as the
     status chain (:func:`simulate_status_chain_many`).
     """
-    n = index(n)
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    n = _size(n)
     blue = [False] * n + [True]
     blue_members = [n]
 
@@ -371,13 +369,11 @@ def simulate_status_chain_many(
     count or block scheduling.  Each block's ``Generator`` is built here,
     in the calling thread, and the block's draw thread reads only that
     one, so the results depend neither on thread timing nor on the CPU
-    count.  ``n`` and ``replicates`` must be integers
-    (``operator.index``); anything else raises TypeError.  n above
-    :data:`CHAIN_MAX_N` raises ValueError before any block runs.
+    count.  ``n`` and ``replicates`` are positive integers
+    (:func:`trees._size`); n above :data:`CHAIN_MAX_N` raises ValueError
+    before any block runs.
     """
-    n, replicates = index(n), index(replicates)
-    if n < 1 or replicates < 1:
-        raise ValueError("need n >= 1 and replicates >= 1")
+    n, replicates = _size(n), _size(replicates, name="replicates")
     if n > CHAIN_MAX_N:
         raise ValueError(f"n={n} above {CHAIN_MAX_N}: the status chain's float64 "
                          "lanes hold exact integers only while n*n < 2**53")
@@ -735,12 +731,10 @@ def exact_chain_law(n: int) -> GreedyLaw:
     Cross-checked against the full five-count chain and against exhaustive
     tree enumeration in the test suite.
     """
-    n = index(n)
+    n = _size(n)
     limit = _cap(DEFAULT_LAW_CAP)
     if n > limit:
         raise ValueError(f"n={n} above the exact-law cap {limit}")
-    if n < 1:
-        raise ValueError("need at least one vertex")
     width = -(-(n ** n).bit_length() // 8)  # B, in bytes
     absorbed = _absorbed_rows(n, width)
     cmax = max(absorbed)
@@ -784,23 +778,23 @@ def enumeration_law(n: int) -> GreedyLaw:
     determined, so an undetermined parent has a larger label and the
     inspected vertices are exactly those still undetermined then.  Each
     row keeps its statuses as two uint64 masks, ``active`` and
-    ``determined``, with a size and a step counter: v is inspected iff
+    ``determined``, with a step counter: v is inspected iff
     its bit is not determined, it turns active iff its parent's bit is not
     active (``_V_AFTER``: an undetermined or blocked parent activates v),
     and the parent becomes determined, blocked unless it was active.  v's
     own determined bit is never read again, so it is not set.  The root's
-    bit gives the root-last flag; the (size, steps, root_last) triples are
+    bit gives the root-last flag, and the size is the count of active bits
+    plus that flag; the (size, steps, root_last) triples are
     tallied with ``bincount``.  Refuses the n that :func:`enumerate_all`
     refuses.
     """
-    n = index(n)
+    n = _size(n)
     one = np.uint64(1)
     counts = np.zeros((n + 1) * (n + 1) * 2, dtype=np.int64)  # by (g, theta, e)
     for parents in _parent_batches(n):
         rows = len(parents)
         active = np.zeros(rows, dtype=np.uint64)
         determined = np.zeros(rows, dtype=np.uint64)
-        sizes = np.zeros(rows, dtype=np.int64)
         steps = np.zeros(rows, dtype=np.int64)
         for v, parent in enumerate(parents.T, start=1):
             bit = one << np.uint64(v)
@@ -810,10 +804,9 @@ def enumeration_law(n: int) -> GreedyLaw:
             determined |= parent_bit * inspected
             active |= bit * turns_active
             steps += inspected
-            sizes += turns_active
         root_last = (determined >> np.uint64(n)) == 0
-        sizes += root_last
         steps += root_last
+        sizes = np.bitwise_count(active).astype(np.int64) + root_last
         counts += np.bincount((sizes * (n + 1) + steps) * 2 + root_last,
                               minlength=counts.size)
     table = counts.reshape(n + 1, n + 1, 2)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Protocol
 
-from .trees import CayleyTree, RandomSource
+from .trees import CayleyTree, RandomSource, _size
 
 
 class PeelStep(NamedTuple):
@@ -53,9 +53,7 @@ class ForestState:
     )
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one vertex")
-        self.n = n
+        self.n = n = _size(n)
         self.edge_count = 0
         self._rep = list(range(n + 1))
         self._root = list(range(n + 1))  # tree-root vertex per representative
@@ -235,6 +233,7 @@ def peel_markov(
     assembled final tree is a uniform tree rooted at n, for any rule.
     """
     state = ForestState(n)
+    n = state.n  # checked, a Python int
     steps = []
     parents = [0] * (n - 1)
     for _ in range(n - 1):
@@ -251,9 +250,7 @@ def first_branch_length(n: int, rng: RandomSource) -> int:
     Simulated through the one-step law; equals min{i >= 0 : 1 is blue in
     the i-th forest}.
     """
-    if n < 2:
-        raise ValueError("need at least two vertices")
-    state = ForestState(n)
+    state = ForestState(_size(n, 2))
     rule = SmallestLabelRule()
     t = 0
     while not state.is_blue(1):
@@ -272,8 +269,7 @@ def first_branch_law(n: int) -> dict[int, Fraction]:
     (Counting the vertices of the finished branch instead of its edges
     shifts k by one and recovers the usual product formula.)
     """
-    if n < 2:
-        raise ValueError("need at least two vertices")
+    n = _size(n, 2)
     law: dict[int, Fraction] = {}
     prod = Fraction(1)
     for k in range(1, n):

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import fluid, greedy
-from .trees import RandomSource, sample_uniform
+from .trees import RandomSource, _size, sample_uniform
 
 DEFAULT_SEED = 0x5EED
 
@@ -188,8 +188,7 @@ def clt_experiment(
     lowers the limit to 3/4 - ln 2, the target read from
     ``fluid.stopping_step_variance``.
     """
-    if n < 100 or replicates < 100:
-        raise ValueError("need n >= 100 and replicates >= 100")
+    n, replicates = _size(n, 100), _size(replicates, 100, "replicates")
     rng = RandomSource(seed)
     sizes, steps, root_last = greedy.simulate_status_chain_many(n, replicates, rng)
     sqrt_n = math.sqrt(n)
@@ -315,6 +314,8 @@ def tree_sweep_experiment(
     }
     if kind not in targets:
         raise ValueError(f"unknown sweep kind {kind!r}")
+    n, replicates = _size(n), _size(replicates, name="replicates")
+    jobs = _size(jobs, name="jobs")
     # the CPUs this process may run on (taskset, cpusets), not the machine's
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

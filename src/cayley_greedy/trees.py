@@ -18,10 +18,22 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 #: largest size accepted by :func:`enumerate_all` unless CAYLEY_GREEDY_CAP
-#: overrides it (9**7 ~ 4.8M trees keeps exhaustive sweeps in the minutes range).
+#: overrides it (9**7 ~ 4.8M trees; ``enumeration_law(9)`` takes under a second).
 DEFAULT_ENUMERATION_CAP = 9
 
 _CAP_ENV_VAR = "CAYLEY_GREEDY_CAP"
+
+
+def _size(value: int, least: int = 1, name: str = "n") -> int:
+    """A size or count as a Python int (``operator.index``) of at least ``least``;
+    else TypeError or ValueError, naming the argument ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _cap(default: int) -> int:
@@ -166,12 +178,17 @@ class RandomSource:
                  "_words", "_half", "_generator")
 
     def __init__(self, seed: int):
-        self.seed = operator.index(seed)
-        if self.seed < 0:
-            raise ValueError(f"seed and child indices must be non-negative, "
-                             f"got seed={self.seed}")
-        self._parent = None
-        self._index = None
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed and child indices must be non-negative, got seed={seed}")
+        self._start(seed, None, None)
+
+    def _start(self, seed: int, parent: "RandomSource | None", index: int | None) -> None:
+        """Set every slot: the stream at ``parent``'s child ``index``, or the
+        root stream of ``seed``, with nothing drawn yet."""
+        self.seed = seed
+        self._parent = parent
+        self._index = index
         self._pool = None
         self._key = None
         self._block = 0
@@ -262,16 +279,8 @@ class RandomSource:
                 f"seed and child indices must be non-negative, "
                 f"got seed={self.seed} path={self.path + (index,)}"
             )
-        child = object.__new__(RandomSource)
-        child.seed = self.seed
-        child._parent = self
-        child._index = index
-        child._pool = None
-        child._key = None
-        child._block = 0
-        child._words = []
-        child._half = None
-        child._generator = None
+        child = object.__new__(RandomSource)  # the seed was checked at the root
+        child._start(self.seed, self, index)
         return child
 
     # scalar draws are the explorations' hot path: they read the slots, and
@@ -346,8 +355,7 @@ class CayleyTree:
 
     def __init__(self, n: int, parents: Sequence[int]):
         parents = tuple(parents)
-        if n < 1:
-            raise ValueError("need at least one vertex")
+        n = _size(n)
         if len(parents) != n - 1:
             raise ValueError(f"expected {n - 1} parent entries, got {len(parents)}")
         self.n = n
@@ -474,8 +482,7 @@ def prufer_decode(symbols: Sequence[int], n: int) -> CayleyTree:
     The sequence has length n - 2 with entries in 1..n; iterating over all
     such sequences enumerates all n^(n-2) labeled trees exactly once.
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    n = _size(n)
     if len(symbols) != max(n - 2, 0):
         raise ValueError(f"sequence length must be {max(n - 2, 0)} for n={n}")
     if n == 1:
@@ -605,9 +612,7 @@ def sample_uniform(n: int, rng: RandomSource) -> CayleyTree:
     From :data:`_ARRAY_DECODE_MIN` on the symbols are decoded in array
     passes, and the tree keeps the parent array.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    n = _size(n)
     if n <= 2:
         return prufer_decode([], n)
     symbols = rng.generator.integers(1, n + 1, size=n - 2)
@@ -647,14 +652,13 @@ def _parent_batches(n: int) -> Iterator[np.ndarray]:
     operations on every row at once, the bit's index comes from
     ``np.frexp``, exact on powers of two, and the parents are scattered
     through flat offsets.  As in :func:`prufer_decode`, n is never removed,
-    so the last vertex left beside it gets parent n.  Checks the cap,
-    n >= 1 and n <= ``_MASK_MAX_N`` on first use.
+    so the last vertex left beside it gets parent n.  Checks n (:func:`_size`),
+    the cap and n <= ``_MASK_MAX_N`` on first use.
     """
+    n = _size(n)
     limit = _cap(DEFAULT_ENUMERATION_CAP)
     if n > limit:
         raise ValueError(f"n={n} above the enumeration cap {limit}")
-    if n < 1:
-        raise ValueError("need at least one vertex")
     if n > _MASK_MAX_N:
         raise ValueError(f"n={n} above {_MASK_MAX_N}, the largest size whose labels fit "
                          f"the 64-bit enumeration masks; {_CAP_ENV_VAR} cannot raise it")
@@ -714,6 +718,7 @@ def enumerate_all(n: int) -> Iterator[CayleyTree]:
     Refuses n above the cap; override with the CAYLEY_GREEDY_CAP
     environment variable.
     """
+    n = _size(n)  # the trees hold a Python int
     for parents in _parent_batches(n):
         for row in parents.tolist():
             yield CayleyTree._trusted(n, row)
@@ -735,8 +740,7 @@ def pitman_sample_rooted(n: int, rng: RandomSource) -> tuple[dict[int, int], int
     the n-k trees of the current forest not containing V_k, and the directed
     edge R_k -> V_k is added.  Returns (parent map, discovered root).
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    n = _size(n)
     parent: dict[int, int] = {}
     # union-find over components, plus the live root registry
     uf = list(range(n + 1))
@@ -774,6 +778,7 @@ def pitman_sample(n: int, rng: RandomSource) -> CayleyTree:
     Swapping the root label R with n maps the uniform rooted tree onto the
     rooted-at-n convention used everywhere else.
     """
+    n = _size(n)  # the tree holds a Python int
     parent, root = pitman_sample_rooted(n, rng)
 
     def relabel(v: int) -> int:
@@ -800,8 +805,7 @@ def aldous_broder_sample(n: int, rng: RandomSource) -> CayleyTree:
     the first entrance into each vertex k contributes the edge from k to the
     vertex occupied just before.
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    n = _size(n)
     parents = [0] * (n - 1)
     seen = bytearray(n + 1)
     seen[n] = 1

@@ -406,6 +406,10 @@ def _bad_input_cases(tmp_path):
                                             {"CAYLEY_GREEDY_CAP": "64"}),
         # n*n past 2**53 is not exact in the chain's float64 lanes
         "chain past exact floats": (["chain", "--n", "94906266", "--replicates", "1"], {}),
+        # every size goes through one check, whose message names the argument
+        "greedy with no vertices": (["greedy", "--n", "0"], {}),
+        "exact law with no vertices": (["exact-law", "--n", "0"], {}),
+        "clt below its size": (["clt", "--n", "50"], {}),
     }
 
 
@@ -414,7 +418,9 @@ def _bad_input_cases(tmp_path):
                                   "peel without n", "seed with a fixed tree",
                                   "unwritable out", "cap not an integer",
                                   "negative cap", "enumeration past the mask width",
-                                  "chain past exact floats"])
+                                  "chain past exact floats", "greedy with no vertices",
+                                  "exact law with no vertices",
+                                  "clt below its size"])
 def test_bad_input_exits_two_with_one_line(case, tmp_path, capsys, monkeypatch):
     argv, env = _bad_input_cases(tmp_path)[case]
     for name, value in env.items():

@@ -1,9 +1,11 @@
 """Greedy construction: reference sweep, peeling variant, status chain."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -17,21 +19,29 @@ from hypothesis import strategies as st
 
 from cayley_greedy import (
     CayleyTree,
+    ForestState,
     GreedyOutcome,
     RandomSource,
+    SmallestLabelRule,
+    aldous_broder_sample,
     enumerate_all,
     enumeration_law,
     exact_chain_law,
+    first_branch_law,
+    first_branch_length,
     greedy_matching,
     greedy_peeling,
     max_independent_set,
+    peel_markov,
+    pitman_sample,
+    pitman_sample_rooted,
     prufer_decode,
     sample_uniform,
     simulate_status_chain_many,
     tree_count,
     verify_symmetry_exact,
 )
-from cayley_greedy import greedy
+from cayley_greedy import greedy, stats
 from cayley_greedy.greedy import (
     CHAIN_BLOCK,
     CHAIN_DELTA,
@@ -391,19 +401,6 @@ def test_chain_block_threshold_boundaries_at_inexact_quotients(n):
     assert [tuple(int(x) for x in o) for o in zip(*out)] == [o for _, o in lanes]
 
 
-def test_simulate_status_chain_needs_integer_sizes():
-    # without the check a float n runs a chain with fractional counts, and a
-    # float replicates fails deep inside numpy
-    with pytest.raises(TypeError):
-        simulate_status_chain_many(500.5, 5, RandomSource(0))
-    with pytest.raises(TypeError):
-        simulate_status_chain_many(500, 2.5, RandomSource(0))
-    numpy_ints = simulate_status_chain_many(np.int64(20), np.int64(20), RandomSource(3))
-    python_ints = simulate_status_chain_many(20, 20, RandomSource(3))
-    for a, b in zip(numpy_ints, python_ints):
-        assert a.dtype == np.int64 and np.array_equal(a, b)
-
-
 def test_simulate_status_chain_refuses_sizes_past_exact_floats(monkeypatch):
     # the lane rows hold multiples of n up to n*n in float64, exact only
     # while n*n < 2**53; a stand-in block shows the check runs before any
@@ -424,25 +421,89 @@ def test_simulate_status_chain_refuses_sizes_past_exact_floats(monkeypatch):
     assert blocks == [94_906_265]
 
 
-#: a size and a call of each other entry point that reads a size through
-#: operator.index; sample_uniform decodes in array passes from n = 500
+def _chain(n, replicates):
+    return [(a.dtype, a.tolist())
+            for a in simulate_status_chain_many(n, replicates, RandomSource(3))]
+
+
+def _law(law):
+    return law.n, law.numerators, law.den
+
+
+def _clt(n, replicates):
+    return stats.clt_experiment(n, replicates, seed=4)
+
+
+def _sweep(n, replicates, jobs):
+    return stats.tree_sweep_experiment("max-is", n, replicates, seed=4, jobs=jobs)
+
+
+#: every entry point that reads a size or count: its name, then ``.arg``
+#: when the size under test is not n -> (call by keyword, valid sizes, the
+#: least value); sample_uniform decodes in array passes from n = 500
 SIZED_CALLS = {
-    "exact_chain_law": (6, lambda n: exact_chain_law(n).joint),
-    "enumeration_law": (6, lambda n: enumeration_law(n).joint),
-    "greedy_markov_peeling": (20, lambda n: greedy_markov_peeling(n, RandomSource(5))),
-    "sample_uniform_loop": (20, lambda n: sample_uniform(n, RandomSource(5))),
-    "sample_uniform_array": (600, lambda n: sample_uniform(n, RandomSource(5))),
+    "CayleyTree": (lambda n: CayleyTree(n, [6] * 5), {"n": 6}, 1),
+    "prufer_decode": (lambda n: prufer_decode([3, 1, 6, 6], n), {"n": 6}, 1),
+    "sample_uniform_loop": (lambda n: sample_uniform(n, RandomSource(5)), {"n": 20}, 1),
+    "sample_uniform_array": (lambda n: sample_uniform(n, RandomSource(5)), {"n": 600}, 1),
+    "enumerate_all": (lambda n: list(enumerate_all(n)), {"n": 4}, 1),
+    "pitman_sample_rooted": (lambda n: pitman_sample_rooted(n, RandomSource(5)), {"n": 20}, 1),
+    "pitman_sample": (lambda n: pitman_sample(n, RandomSource(5)), {"n": 20}, 1),
+    "aldous_broder_sample": (lambda n: aldous_broder_sample(n, RandomSource(5)), {"n": 20}, 1),
+    "ForestState": (lambda n: ForestState(n).n, {"n": 6}, 1),
+    "peel_markov": (lambda n: peel_markov(n, SmallestLabelRule(), RandomSource(5)),
+                    {"n": 6}, 1),
+    "first_branch_length": (lambda n: first_branch_length(n, RandomSource(5)), {"n": 10}, 2),
+    "first_branch_law": (first_branch_law, {"n": 10}, 2),
+    "greedy_markov_peeling": (lambda n: greedy_markov_peeling(n, RandomSource(5)),
+                              {"n": 20}, 1),
+    "simulate_status_chain_many": (_chain, {"n": 20, "replicates": 20}, 1),
+    "simulate_status_chain_many.replicates": (_chain, {"n": 20, "replicates": 20}, 1),
+    "exact_chain_law": (lambda n: _law(exact_chain_law(n)), {"n": 6}, 1),
+    "enumeration_law": (lambda n: _law(enumeration_law(n)), {"n": 6}, 1),
+    "clt_experiment": (_clt, {"n": 100, "replicates": 100}, 100),
+    "clt_experiment.replicates": (_clt, {"n": 100, "replicates": 100}, 100),
+    "tree_sweep_experiment": (_sweep, {"n": 10, "replicates": 3, "jobs": 1}, 1),
+    "tree_sweep_experiment.replicates": (_sweep, {"n": 10, "replicates": 3, "jobs": 1}, 1),
+    "tree_sweep_experiment.jobs": (_sweep, {"n": 10, "replicates": 3, "jobs": 1}, 1),
 }
+
+
+def _leaves(value):
+    """The scalars of a result, through trees, dataclasses, tuples, lists and dicts."""
+    if isinstance(value, CayleyTree):
+        value = (value.n, value.parents)
+    elif dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    elif isinstance(value, dict):
+        value = [*value.items()]
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
 
 
 @pytest.mark.parametrize("name", sorted(SIZED_CALLS))
 def test_sizes_must_be_integers(name):
-    # without the check a float fails deep inside, with a message that does
-    # not name n, and the DP fails on a numpy integer too (no bit_length)
-    n, call = SIZED_CALLS[name]
-    with pytest.raises(TypeError):
-        call(n + 0.5)
-    assert call(np.int64(n)) == call(n)
+    # every size goes through trees._size: without it a float fails deep
+    # inside, with a message that does not name the argument, the DP fails
+    # on a numpy integer (no bit_length), and a numpy integer n leaked into
+    # the trees that pitman_sample, aldous_broder_sample, prufer_decode and
+    # peel_markov built
+    call, sizes, least = SIZED_CALLS[name]
+    arg = name.partition(".")[2] or "n"
+    bad = sizes[arg] + 0.5
+    with pytest.raises(TypeError, match=f"^{arg} must be an integer, got {re.escape(str(bad))}$"):
+        call(**{**sizes, arg: bad})
+    with pytest.raises(ValueError, match=f"^{arg} must be at least {least}, got {least - 1}$"):
+        call(**{**sizes, arg: least - 1})
+    result = call(**{k: np.int64(v) for k, v in sizes.items()})
+    assert result == call(**sizes)
+    assert not any(isinstance(x, np.generic) for x in _leaves(result))
+    items = result if isinstance(result, (tuple, list)) else [result]
+    for tree in [x for x in items if isinstance(x, CayleyTree)]:
+        assert type(tree.n) is int and all(type(p) is int for p in tree.parents)
 
 
 def test_simulate_status_chain_small_sizes():

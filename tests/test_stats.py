@@ -427,3 +427,12 @@ def test_sweep_workers_clamp(jobs, replicates, cpus, expected):
 def test_tree_sweep_unknown_kind():
     with pytest.raises(ValueError):
         tree_sweep_experiment("nope", 10, 10)
+
+
+def test_tree_sweep_refuses_empty_runs():
+    # no replicates once made a NaN report ("Mean of empty slice"), and no
+    # jobs ran one worker
+    with pytest.raises(ValueError, match="^replicates must be at least 1, got 0$"):
+        tree_sweep_experiment("max-is", 10, 0)
+    with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
+        tree_sweep_experiment("max-is", 10, 10, jobs=0)

@@ -545,6 +545,10 @@ def test_ab_exploration_builds_one_generator(monkeypatch):
     pitman_sample(20, master.child(6))
     first_repetition_time(20, master.child(7))
     assert built == {"Philox": [], "Generator": []}
+    # a numpy integer n once made every parent draw's span an np.int64,
+    # which the scalar path passed to a freshly built Generator
+    peel_markov(np.int64(6), SmallestLabelRule(), master.child(8))
+    assert built == {"Philox": [], "Generator": []}
 
 
 # ---------------------------------------------------------------------------
