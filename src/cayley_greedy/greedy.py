@@ -127,7 +127,7 @@ def _greedy_walk(
             undetermined -= 1
         else:
             w = parent(v)
-            steps.append(PeelStep(peeled=v, parent=w, recolored_to_blue=blue[w]))
+            steps.append(PeelStep(v, w, blue[w]))
             blue[v] = blue[w]
             before = status[w]
             if not before:
@@ -245,15 +245,16 @@ def greedy_markov_peeling(n: int, rng: RandomSource):
     n = _size(n)
     blue = [False] * n + [True]
     blue_members = [n]
+    uniform, integer = rng.uniform, rng.integer
 
     def parent(v: int) -> int:
         ell = len(blue_members)
-        if rng.uniform() < (ell + 1) / n:
-            w = blue_members[rng.integer(0, ell)]
+        if uniform() < (ell + 1) / n:
+            w = blue_members[integer(0, ell)]
             blue_members.append(v)  # v takes its blue parent's color
             return w
         while True:
-            w = rng.integer(1, n + 1)
+            w = integer(1, n + 1)
             if not blue[w] and w != v:
                 return w
 

@@ -59,7 +59,7 @@ class ForestState:
         self._root = list(range(n + 1))  # tree-root vertex per representative
         self._members = [[v] for v in range(n + 1)]
         self._white_roots = list(range(1, n))
-        self._white_pos = {v: i for i, v in enumerate(self._white_roots)}
+        self._white_pos = dict(zip(self._white_roots, range(n - 1)))
 
     # -- queries ------------------------------------------------------------
 
@@ -116,7 +116,7 @@ class ForestState:
             self._white_roots[pos] = last
             self._white_pos[last] = pos
         self.edge_count += 1
-        return PeelStep(peeled=v1, parent=v2, recolored_to_blue=to_blue)
+        return PeelStep(v1, v2, to_blue)
 
 
 def count_containing_trees(state: ForestState) -> int:

@@ -36,6 +36,16 @@ def _size(value: int, least: int = 1, name: str = "n") -> int:
     return value
 
 
+def _label(label: int, vertex: int) -> int:
+    """Vertex ``vertex``'s parent label as a Python int (``operator.index``);
+    else TypeError, naming the vertex and the label."""
+    try:
+        return operator.index(label)
+    except TypeError:
+        raise TypeError(f"parent of vertex {vertex} must be an integer label, "
+                        f"got {label!r}") from None
+
+
 def _cap(default: int) -> int:
     """The size cap: CAYLEY_GREEDY_CAP, a non-negative integer, if set, else ``default``."""
     value = os.environ.get(_CAP_ENV_VAR)
@@ -122,19 +132,22 @@ def _philox_key(state: _Pool) -> tuple[int, int]:
 
 @functools.cache
 def _shared_philox():
-    """(Philox, its state dict, that dict's counter and key arrays).
+    """(Philox, its state dict, that dict's counter and key lists).
 
     Every stream reads its words through this one bit generator: a refill
     writes the stream's key and block index into the dict and assigns it.
-    The dict is private, so its ``buffer_pos`` stays 4, which makes the next
-    ``random_raw`` start a fresh block, and its ``has_uint32`` stays 0.
-    Made on the first draw: building it loads numpy.random, about 16 ms and
-    a few MB that a run which never draws, such as an exact law, does not
-    pay.
+    The dict holds Python-int lists where ``Philox.state`` returns uint64
+    arrays; numpy's setter reads the same words from either, and takes
+    about half the time from ints.  The dict is private, so its
+    ``buffer_pos`` stays 4, which makes the next ``random_raw`` start a
+    fresh block, and its ``has_uint32`` stays 0.  Made on the first draw:
+    building it loads numpy.random, about 16 ms and a few MB that a run
+    which never draws, such as an exact law, does not pay.
     """
-    bitgen = np.random.Philox(key=0)
-    state = bitgen.state
-    return bitgen, state, state["state"]["counter"], state["state"]["key"]
+    counter, key = [0] * 4, [0] * 2
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return np.random.Philox(key=0), state, counter, key
 
 
 #: numpy's ``next_double``: the top 53 bits of a raw word times 2^-53
@@ -239,8 +252,7 @@ class RandomSource:
         counter[0] = block
         key[0], key[1] = self._stream_key()
         bitgen.state = state
-        words = bitgen.random_raw(4 * blocks).tolist()
-        words.reverse()
+        words = bitgen.random_raw(4 * blocks)[::-1].tolist()
         self._block = block + blocks
         self._words = words
         return words
@@ -343,7 +355,8 @@ class CayleyTree:
     other on first use.  Instances are immutable and hashable.
 
     ``CayleyTree(n, parents)``, :meth:`from_line` and :func:`read_trees`
-    check labels and reject cycles.  Trees the library builds itself
+    store every label as a Python int (``operator.index``), check it is
+    in 1..n, and reject cycles.  Trees the library builds itself
     (:func:`prufer_decode`, :func:`pitman_sample`,
     :func:`aldous_broder_sample` and ``peeling.peel_markov``) are valid by
     construction and come from :meth:`_trusted`, which skips that check;
@@ -354,7 +367,7 @@ class CayleyTree:
     __slots__ = ("n", "_parents", "_array")
 
     def __init__(self, n: int, parents: Sequence[int]):
-        parents = tuple(parents)
+        parents = tuple(map(_label, parents, itertools.count(1)))
         n = _size(n)
         if len(parents) != n - 1:
             raise ValueError(f"expected {n - 1} parent entries, got {len(parents)}")

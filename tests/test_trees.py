@@ -188,6 +188,22 @@ def test_tree_rejects_cycles_and_bad_labels():
         CayleyTree(3, (3,))  # wrong length
 
 
+@pytest.mark.parametrize("parents, vertex", [
+    ((3.0, 3.0), 1), ((3.5, 3), 1), (("3", 3), 1), ((3, 2.0), 2)])
+def test_tree_rejects_labels_that_are_not_integers(parents, vertex):
+    label = parents[vertex - 1]
+    with pytest.raises(TypeError, match=re.escape(
+            f"parent of vertex {vertex} must be an integer label, got {label!r}")):
+        CayleyTree(3, parents)
+
+
+def test_tree_stores_integer_labels_as_python_ints():
+    t = CayleyTree(3, (np.int64(3), np.uint8(3)))
+    assert t.parents == (3, 3)
+    assert all(type(p) is int for p in t.parents)
+    assert t == CayleyTree(3, (3, 3))
+
+
 def test_from_line_and_read_trees_reject_cycles_and_bad_labels(tmp_path):
     # a cycle, an out-of-range label, and empty parent fields; the file's
     # error names the file and the bad line's number
@@ -428,11 +444,15 @@ def test_drawn_source_survives_pickle():
 
 def test_interleaved_streams_each_equal_their_oracle():
     # every refill re-keys the one shared Philox; drawing the streams in a
-    # random order shows that no refill disturbs another stream's words
+    # random order shows that no refill disturbs another stream's words.
+    # The refill writes the key as Python ints, so one stream has both key
+    # words at or above 2^63, where a signed 64-bit conversion would fail
+    high = next(i for i in itertools.count()
+                if min(_seed_sequence_key(31, (i,))) >= 2**63)
     rnd = random.Random(1616)
     pairs = [(_source(seed, path), _oracle(seed, path))
              for seed, path in [(0, ()), (5, (3,)), (5, (3, 0)), (2024, (1, 0)),
-                                (2**40 + 3, (123456,))]]
+                                (2**40 + 3, (123456,)), (31, (high,))]]
     for _ in range(6000):
         source, oracle = rnd.choice(pairs)
         _draw_both(source, oracle, rnd.choice(RAW_RANGES + [None, None]))
