@@ -57,7 +57,8 @@ def cmd_sample_tree(args) -> int:
         "aldous-broder": trees.aldous_broder_sample,
     }
     sampler = samplers[args.method]
-    sample = [sampler(args.n, rng.child(i)) for i in range(args.count)]
+    sample = [sampler(args.n, rng.child(i))
+              for i in range(trees._size(args.count, name="count"))]
     _emit(trees.format_trees(sample), args.out)
     return 0
 
@@ -120,7 +121,7 @@ def _emit_outcomes(outcomes: Iterable[tuple[int, int, int]], args) -> None:
 def cmd_greedy(args) -> int:
     master = trees.RandomSource(args.seed)
     outcomes = [greedy.greedy_peeling(trees.sample_uniform(args.n, master.child(i)))
-                for i in range(args.replicates)]
+                for i in range(trees._size(args.replicates, name="replicates"))]
     _note_seed(args.seed)
     _emit_outcomes([(o.size, o.steps, o.root_last) for o in outcomes], args)
     return 0
@@ -209,20 +210,10 @@ def cmd_fluid(args) -> int:
 DEFAULT_REPLICATES = 1000
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def seed_int(text: str) -> int:
-    """argparse type for seeds: an integer >= 0, decimal or 0x-prefixed."""
-    value = int(text, 0)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+    """argparse type for seeds: an integer, decimal or 0x-prefixed.  Counts
+    and seeds are checked where they are used, by :func:`trees._size`."""
+    return int(text, 0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,9 +227,9 @@ def _add_common(p, with_replicates=False, with_jobs=False, with_format=False,
                 with_seed=True):
     p.add_argument("--n", type=int, required=True)
     if with_replicates:
-        p.add_argument("--replicates", type=positive_int, default=DEFAULT_REPLICATES)
+        p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
     if with_jobs:
-        p.add_argument("--jobs", type=positive_int, default=1)
+        p.add_argument("--jobs", type=int, default=1)
     if with_seed:
         p.add_argument("--seed", type=seed_int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
@@ -256,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-tree", help="sample trees, one per line")
     _add_common(p)
-    p.add_argument("--count", type=positive_int, default=1)
+    p.add_argument("--count", type=int, default=1)
     p.add_argument("--method", choices=["prufer", "pitman", "aldous-broder"],
                    default="prufer")
     p.set_defaults(func=cmd_sample_tree)

@@ -364,8 +364,8 @@ def simulate_status_chain_many(
     """Replicates of the status chain, each giving (size, steps, root_last).
 
     Returns (sizes, steps, root_last) arrays of length ``replicates``.
-    Replicates are processed in fixed-size blocks, each driven by its own
-    child stream ``rng.child(block_index)``, so results are bit-for-bit
+    Replicates are processed in fixed-size blocks, block i driven by its
+    own child stream ``rng.child(i)``, so results are bit-for-bit
     reproducible for a given (seed, n, replicates) regardless of worker
     count or block scheduling.  Each block's ``Generator`` is built here,
     in the calling thread, and the block's draw thread reads only that
@@ -378,20 +378,10 @@ def simulate_status_chain_many(
     if n > CHAIN_MAX_N:
         raise ValueError(f"n={n} above {CHAIN_MAX_N}: the status chain's float64 "
                          "lanes hold exact integers only while n*n < 2**53")
-    sizes = np.empty(replicates, dtype=np.int64)
-    steps = np.empty(replicates, dtype=np.int64)
-    root_last = np.empty(replicates, dtype=np.int64)
-    start = 0
-    block_index = 0
-    while start < replicates:
-        w = min(CHAIN_BLOCK, replicates - start)
-        g, t, e = _chain_block(n, w, rng.child(block_index).generator)
-        sizes[start:start + w] = g
-        steps[start:start + w] = t
-        root_last[start:start + w] = e
-        start += w
-        block_index += 1
-    return sizes, steps, root_last
+    blocks = [_chain_block(n, min(CHAIN_BLOCK, replicates - start),
+                           rng.child(i).generator)
+              for i, start in enumerate(range(0, replicates, CHAIN_BLOCK))]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def _draw_rows(gen: np.random.Generator, width: int, rows: int):

@@ -315,7 +315,8 @@ def tree_sweep_experiment(
     if kind not in targets:
         raise ValueError(f"unknown sweep kind {kind!r}")
     n, replicates = _size(n), _size(replicates, name="replicates")
-    jobs = _size(jobs, name="jobs")
+    # the seed too, before a worker starts
+    jobs, seed = _size(jobs, name="jobs"), _size(seed, 0, "seed")
     # the CPUs this process may run on (taskset, cpusets), not the machine's
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

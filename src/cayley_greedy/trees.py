@@ -25,8 +25,9 @@ _CAP_ENV_VAR = "CAYLEY_GREEDY_CAP"
 
 
 def _size(value: int, least: int = 1, name: str = "n") -> int:
-    """A size or count as a Python int (``operator.index``) of at least ``least``;
-    else TypeError or ValueError, naming the argument ``name``."""
+    """A size, count, seed or child index as a Python int (``operator.index``)
+    of at least ``least``; else TypeError or ValueError, naming the argument
+    ``name``.  The one check of the rule "an integer of at least k"."""
     try:
         value = operator.index(value)
     except TypeError:
@@ -174,7 +175,8 @@ class RandomSource:
     only.  A source that only spawns children, and is never drawn from,
     costs nothing.  ``child`` keeps a reference to its parent.  Seeds and
     child indices must be non-negative integers, as ``SeedSequence``
-    requires; they are checked here, not at first draw.
+    requires; they are checked here, not at first draw, by :func:`_size`,
+    the check that sizes and the CLI's counts go through too.
 
     Scalar draws are computed here from raw Philox words with numpy's own
     arithmetic, so they equal ``Generator.random()`` and
@@ -191,10 +193,7 @@ class RandomSource:
                  "_words", "_half", "_generator")
 
     def __init__(self, seed: int):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"seed and child indices must be non-negative, got seed={seed}")
-        self._start(seed, None, None)
+        self._start(_size(seed, 0, "seed"), None, None)
 
     def _start(self, seed: int, parent: "RandomSource | None", index: int | None) -> None:
         """Set every slot: the stream at ``parent``'s child ``index``, or the
@@ -285,14 +284,8 @@ class RandomSource:
 
     def child(self, index: int) -> "RandomSource":
         """Deterministic sub-stream; independent of draws made from self."""
-        index = operator.index(index)
-        if index < 0:
-            raise ValueError(
-                f"seed and child indices must be non-negative, "
-                f"got seed={self.seed} path={self.path + (index,)}"
-            )
         child = object.__new__(RandomSource)  # the seed was checked at the root
-        child._start(self.seed, self, index)
+        child._start(self.seed, self, _size(index, 0, "child index"))
         return child
 
     # scalar draws are the explorations' hot path: they read the slots, and

@@ -300,6 +300,8 @@ def test_missing_mode_exits_two():
     ["greedy", "--n", "5", "--replicates", "-3"],
     ["sample-tree", "--n", "5", "--count", "-2"],
     ["matching", "--n", "50", "--replicates", "2", "--jobs", "0"],
+    ["greedy", "--n", "5", "--replicates", "0"],
+    ["sample-tree", "--n", "5", "--count", "0"],
 ])
 def test_nonpositive_counts_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -307,8 +309,9 @@ def test_nonpositive_counts_exit_two(argv, capsys):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].endswith("must be a positive integer, got "
-                                                  + argv[-1])
+    flag, value = argv[-2].removeprefix("--"), argv[-1]
+    assert captured.err.splitlines() == [
+        f"cayley-greedy: error: {flag} must be at least 1, got {value}"]
 
 
 #: one subcommand of each parser that takes --seed
@@ -324,16 +327,23 @@ SEEDED_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda a: a[0])
-def test_negative_seed_exits_two(argv, capsys):
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS + [pytest.param(
+    ["matching", "--n", "50", "--replicates", "4", "--jobs", "2"], id="matching-jobs-2",
+)], ids=lambda a: a[0])
+def test_negative_seed_exits_two(argv, capsys, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started before the seed was checked")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(SystemExit) as err:
         main(argv + ["--seed", "-1"])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"cayley-greedy {argv[0]}: error: argument --seed: "
-        "must be a non-negative integer, got -1"]
+        "cayley-greedy: error: seed must be at least 0, got -1"]
 
 
 @pytest.mark.parametrize("argv", [

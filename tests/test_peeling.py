@@ -25,7 +25,7 @@ from cayley_greedy import (
 from cayley_greedy import peeling
 from cayley_greedy.cli import main
 from cayley_greedy.peeling import PeelStep, _check_transition_weights
-from cayley_greedy.stats import EmpiricalDistribution, chi_square_uniform
+from cayley_greedy.stats import EmpiricalDistribution
 from cayley_greedy.trees import format_trees
 from oracles import first_repetition_law
 
@@ -243,20 +243,6 @@ def test_peel_markov_two_vertices_deterministic():
         steps, tree = peel_markov(2, SmallestLabelRule(), RandomSource(seed))
         assert tree.parents == (2,)
         assert steps[0].peeled == 1 and steps[0].parent == 2
-
-
-@pytest.mark.parametrize("rule_name", ["unif", "ab"])
-def test_peel_markov_uniform_final_tree_n4(rule_name):
-    rng = RandomSource(900 if rule_name == "unif" else 901)
-    counts = Counter()
-    for i in range(30_000):
-        child = rng.child(i)
-        rule = UniformRule(child.child(1)) if rule_name == "unif" else SmallestLabelRule()
-        _, tree = peel_markov(4, rule, child.child(0))
-        counts[tree.parents] += 1
-    assert len(counts) == 16
-    _, p = chi_square_uniform(list(counts.values()))
-    assert p > 1e-3
 
 
 def test_peel_markov_step_count_and_structure():

@@ -523,7 +523,7 @@ def test_source_pickled_mid_batch():
 def test_random_source_rejects_non_integers(build):
     # int() would truncate 2.9 to 2 and alias another stream;
     # SeedSequence raises TypeError for these too
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^(seed|child index) must be an integer, got "):
         build()
 
 
@@ -539,7 +539,7 @@ def test_random_source_takes_numpy_integers():
     lambda: RandomSource(1).child(-1),
 ])
 def test_random_source_rejects_negative_at_construction(build):
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^(seed|child index) must be at least 0, got -1$"):
         build()
 
 
