@@ -14,14 +14,14 @@ computes the same set in two ways:
   row's statuses held as two bitmasks (active, determined) over its
   labels.  On a fixed tree the outcome alone comes from array rounds
   (:func:`greedy_peeling`, like :func:`greedy_matching` and
-  :func:`max_independent_set`): each round settles every vertex whose
-  status no longer waits on an open one, and a sequential tail settles
-  what a stalled round leaves (:func:`_greedy_statuses`).  The walk and
-  that tail read the inspected vertex's new status from
-  :data:`_V_AFTER`; the batch reads the same rule off its masks (v turns
-  active iff its parent's bit is not active), and
-  ``test_enumeration_law_equals_peeling_tally`` ties it to
-  :func:`greedy_peeling`.
+  :func:`max_independent_set`), which settle uniform trees.  An input
+  whose rounds stall (:data:`_STALL_SHARE`) goes whole to the scalar
+  form, the walk or a scan of the order, as ``trees._decode_parents``
+  hands what its passes leave to ``prufer_decode``.  The walk reads the
+  inspected vertex's new status from :data:`_V_AFTER`; the batch reads
+  the same rule off its masks (v turns active iff its parent's bit is
+  not active), and ``test_enumeration_law_equals_peeling_tally`` ties it
+  to :func:`greedy_peeling`.
 * the status chain -- on a uniform tree, the five counts (undetermined,
   active-white, blocked-white, active-blue, blocked-blue) form a Markov
   chain whose transitions close over the counts alone, so the law of the
@@ -139,17 +139,22 @@ def _greedy_walk(
 
 
 #: the rounds of greedy_peeling, greedy_matching and max_independent_set
-#: stop at the first round that leaves more than this share of the open
-#: items open, and a sequential tail settles the rest.  A round costs a
-#: few array passes over the open items, so while each settles at least
-#: half of them the rounds cost O(n) in all.  Some inputs settle almost
-#: nothing per round (two vertices on the path 1 -> 2 -> ... -> n), and
-#: running their rounds to the end would cost O(n) per round, O(n^2) in all.
+#: stall at the first round that leaves more than this share of the open
+#: items open.  A round costs a few array passes over the open items, so
+#: while each settles at least half of them the rounds cost O(n) in all;
+#: on the path 1 -> 2 -> ... -> n a round settles two vertices, O(n^2) in
+#: all.  On a stall the greedy and the matching hand the whole tree to
+#: their O(n) scalar forms.  Their rounds stalled on none of the uniform
+#: trees of RandomSource(1)'s children (greedy 2 000 at n = 100, 1 000 at
+#: 10^4, 50 at 10^5; matching 1 000 at n = 100, 200 at 10^4).  The max-IS
+#: rounds stall on about a tenth of them (132 of 1 000 at n = 100, 39 of
+#: 300 at 10^4), so max_independent_set keeps a tail over what they leave.
 _STALL_SHARE = 0.5
 
 
-def _greedy_statuses(par: np.ndarray) -> np.ndarray:
-    """Final VertexStatus by label of the greedy peeling, in array rounds.
+def _greedy_statuses(par: np.ndarray) -> np.ndarray | None:
+    """Final VertexStatus by label of the greedy peeling, in array rounds;
+    None if a round stalls (:data:`_STALL_SHARE`).
 
     ``par`` is the :attr:`~CayleyTree.parent_array` of a tree on
     n = ``par.size + 1`` vertices, and is only read.  The active set is
@@ -157,10 +162,7 @@ def _greedy_statuses(par: np.ndarray) -> np.ndarray:
     label order: v is active iff no neighbour of smaller label is.  Each
     round activates every open vertex whose open neighbours all have
     larger labels (its smaller ones are all blocked) and blocks their open
-    neighbours.  When a round stalls (:data:`_STALL_SHARE`), the tail
-    inspects the open vertices in label order as :func:`_greedy_walk`
-    does: v takes ``_V_AFTER`` of its parent's status, and an open parent
-    is blocked.
+    neighbours.
     """
     n = par.size + 1
     status = np.zeros(n + 1, dtype=np.uint8)  # VertexStatus by label
@@ -173,43 +175,33 @@ def _greedy_statuses(par: np.ndarray) -> np.ndarray:
         status[np.compress(~has_smaller[open_], open_)] = _ACTIVE
         status[np.compress(status[lo] == _ACTIVE, hi)] = _BLOCKED
         left = np.compress(status[open_] == 0, open_)
-        stalled = left.size > _STALL_SHARE * open_.size
+        if left.size > _STALL_SHARE * open_.size:
+            return None
         open_ = left
-        if stalled:
-            break
         keep = status[lo] == 0
         keep &= status[hi] == 0
         lo, hi = np.compress(keep, lo), np.compress(keep, hi)
-    if open_.size:
-        st = bytearray(status.tobytes())
-        labels = open_.tolist()
-        # the root, if open, is the last label; zip stops before it
-        for v, w in zip(labels, par[open_[open_ < n] - 1].tolist()):
-            if st[v]:
-                continue
-            before = st[w]
-            if not before:
-                st[w] = _BLOCKED
-            st[v] = _V_AFTER[before]
-        if labels[-1] == n and not st[n]:  # the root, last undetermined vertex
-            st[n] = _ACTIVE
-        status = np.frombuffer(st, dtype=np.uint8)
     return status
 
 
 def greedy_peeling(tree: CayleyTree) -> GreedyOutcome:
     """Outcome of the greedy peeling of the rooted tree, from its final statuses.
 
-    The statuses come from the array rounds of :func:`_greedy_statuses`.  A
-    vertex becomes active only when inspected, and the root is inspected
-    only when it is the last undetermined vertex, so the root-last flag is
-    1 iff the root is active.  The walk skips a vertex exactly when an
-    active child of smaller label blocked it first, so the stopping step is
-    n minus the number of such vertices.
+    The statuses come from the array rounds of :func:`_greedy_statuses`; if
+    a round stalls, the outcome is the walk's, from
+    :func:`greedy_exploration_steps`.  A vertex becomes active only when
+    inspected, and the root is inspected only when it is the last
+    undetermined vertex, so the root-last flag is 1 iff the root is active.
+    The walk skips a vertex exactly when an active child of smaller label
+    blocked it first, so the stopping step is n minus the number of such
+    vertices.
     """
     n = tree.n
     par = tree.parent_array
-    active = _greedy_statuses(par) == _ACTIVE
+    status = _greedy_statuses(par)
+    if status is None:
+        return greedy_exploration_steps(tree)[1]
+    active = status == _ACTIVE
     skipped = np.zeros(n + 1, dtype=bool)
     skipped[np.compress(active[1:n] & (np.arange(1, n) < par), par)] = True
     return GreedyOutcome(
@@ -859,9 +851,10 @@ def greedy_matching(tree: CayleyTree, order: Sequence[int]) -> int:
     Each round keeps every open edge that comes first in ``order`` among
     the open edges at both of its endpoints (the earlier ones there are
     all dropped), then drops every open edge that touches a matched
-    vertex.  When a round stalls (:data:`_STALL_SHARE`), the tail takes
-    the open edges in order.  Raises ``ValueError`` unless ``order`` is a
-    permutation of 1..n-1 with an integer dtype.
+    vertex.  If a round stalls (:data:`_STALL_SHARE`), the size comes from
+    the scalar greedy along the whole of ``order`` instead.  Raises
+    ``ValueError`` unless ``order`` is a permutation of 1..n-1 with an
+    integer dtype.
     """
     n = tree.n
     ids = np.asarray(order)
@@ -897,16 +890,16 @@ def greedy_matching(tree: CayleyTree, order: Sequence[int]) -> int:
         c, p, r = np.compress(live, c), np.compress(live, p), np.compress(live, r)
         if r.size > _STALL_SHARE * before:
             break
-    if r.size:
-        is_open = np.zeros(n - 1, dtype=bool)  # by rank
-        is_open[r] = True
-        edges = np.compress(is_open, ids)
-        m = bytearray(matched.tobytes())
-        for v, w in zip(edges.tolist(), par[edges].tolist()):
-            if not m[v] and not m[w]:
-                m[v] = 1
-                m[w] = 1
-                size += 1
+    if not r.size:
+        return size
+    # a round stalled: the scalar greedy along the whole order, from scratch
+    m = bytearray(n + 1)
+    size = 0
+    for v, w in zip(ids.tolist(), par[ids].tolist()):
+        if not m[v] and not m[w]:
+            m[v] = 1
+            m[w] = 1
+            size += 1
     return size
 
 
@@ -916,12 +909,13 @@ def max_independent_set(tree: CayleyTree) -> int:
     A vertex is taken iff none of its children was taken; on a tree this
     greedy is optimal (some maximum set holds every leaf).  Each round
     takes every open vertex with no open children, whose children are then
-    all untaken, and settles their parents as untaken.  When a round
-    stalls (:data:`_STALL_SHARE`), the tail runs the leaf removal over the
-    open vertices, children before parents: a scan in label order reaches
-    each vertex once its open children are done, or climbs to a parent of
-    smaller label as soon as that parent's last child is.  Works on any
-    parent table, whatever its labels.
+    all untaken, and settles their parents as untaken.  The rounds stall
+    (:data:`_STALL_SHARE`) on some uniform trees, so a tail runs the leaf
+    removal over just the open vertices they leave, children before
+    parents: a scan in label order reaches each vertex once its open
+    children are done, or climbs to a parent of smaller label as soon as
+    that parent's last child is.  Works on any parent table, whatever its
+    labels.
     """
     n = tree.n
     par = np.zeros(n + 1, dtype=np.int64)  # par[n] = 0: the root has none

@@ -47,14 +47,10 @@ class ForestState:
     a swap-remove registry for O(1) uniform choice.
     """
 
-    __slots__ = (
-        "n", "edge_count", "_rep", "_root", "_members",
-        "_white_roots", "_white_pos",
-    )
+    __slots__ = ("n", "_rep", "_root", "_members", "_white_roots", "_white_pos")
 
     def __init__(self, n: int):
         self.n = n = _size(n)
-        self.edge_count = 0
         self._rep = list(range(n + 1))
         self._root = list(range(n + 1))  # tree-root vertex per representative
         self._members = [[v] for v in range(n + 1)]
@@ -72,6 +68,11 @@ class ForestState:
     @property
     def blue_size(self) -> int:
         return len(self._members[self._rep[self.n]])
+
+    @property
+    def edge_count(self) -> int:
+        """Edges so far: each attach removes exactly one white root."""
+        return self.n - 1 - len(self._white_roots)
 
     @property
     def white_root_count(self) -> int:
@@ -115,7 +116,6 @@ class ForestState:
         if last != v1:
             self._white_roots[pos] = last
             self._white_pos[last] = pos
-        self.edge_count += 1
         return PeelStep(v1, v2, to_blue)
 
 

@@ -259,6 +259,7 @@ def symmetry_experiment_mc(
     calibrates the TV threshold by bootstrap resampling of the pooled
     sample, from child stream 3.
     """
+    n, replicates = _size(n), _size(replicates, name="replicates")
     rng = RandomSource(seed)
     sizes_a, _, _ = greedy.simulate_status_chain_many(n, replicates, rng.child(1))
     sizes_b, _, last_b = greedy.simulate_status_chain_many(n, replicates, rng.child(2))

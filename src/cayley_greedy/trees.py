@@ -732,6 +732,7 @@ def enumerate_all(n: int) -> Iterator[CayleyTree]:
 
 def tree_count(n: int) -> int:
     """n^(n-2), the number of labeled trees on n vertices."""
+    n = _size(n)
     return n ** (n - 2) if n >= 2 else 1
 
 

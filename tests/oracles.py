@@ -3,7 +3,8 @@ library against.
 
 * :func:`greedy_reference` -- the textbook greedy sweep over the
   neighbour lists of :func:`adjacency`, against the active set of the
-  peeling's array rounds, :func:`peeling_active_set`.
+  greedy peeling as :func:`cayley_greedy.greedy_peeling` runs it,
+  :func:`peeling_active_set`.
 * :class:`StatusCounts`, :func:`chain_transitions` and
   :func:`reference_chain_law` -- the full five-count status chain in
   rationals, against the packed DP :func:`cayley_greedy.exact_chain_law`;
@@ -83,10 +84,21 @@ def greedy_reference(tree: CayleyTree, order: Sequence[int]) -> frozenset[int]:
 
 
 def peeling_active_set(tree: CayleyTree) -> frozenset[int]:
-    """Active set of the greedy peeling, read from the final statuses of
-    the array rounds that :func:`cayley_greedy.greedy_peeling` runs."""
+    """Active set of the greedy peeling from what
+    :func:`cayley_greedy.greedy_peeling` runs: the final statuses of the
+    array rounds, or, when a round stalls, the walk's statuses replayed
+    from :func:`greedy_exploration_steps` as :func:`status_count_trace`
+    does.  The peeled vertex v of a step turns active iff its parent is
+    not active, and the root is active iff it was the last left."""
     status = _greedy_statuses(tree.parent_array)
-    return frozenset(np.flatnonzero(status == VertexStatus.ACTIVE).tolist())
+    if status is not None:
+        return frozenset(np.flatnonzero(status == VertexStatus.ACTIVE).tolist())
+    steps, outcome = greedy_exploration_steps(tree)
+    active = {tree.n} if outcome.root_last else set()
+    for v, w, _ in steps:
+        if w not in active:
+            active.add(v)
+    return frozenset(active)
 
 
 # --------------------------------------------------------------------------

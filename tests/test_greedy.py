@@ -51,6 +51,7 @@ from cayley_greedy.greedy import (
     _absorbed_rows,
     _blue_split_weights,
     _chain_block,
+    _greedy_statuses,
     _lane_delta,
     _step_matrix,
     chain_weights,
@@ -225,7 +226,8 @@ def _pruefer_trees(draw):
 @given(st.one_of(_pruefer_trees(), parent_tables(max_n=60).map(lambda t: CayleyTree(*t))))
 def test_peeling_walks_agree_on_random_trees(t):
     # parent tables have free labels, increasing paths among them, which
-    # stall the rounds of greedy_peeling and leave the work to its tail
+    # stall the rounds of greedy_peeling; on those it returns the walk's
+    # outcome, and peeling_active_set replays the walk's statuses
     out = greedy_peeling(t)
     assert peeling_active_set(t) == greedy_reference(t, range(1, t.n + 1))
     _, explored = greedy_exploration_steps(t)
@@ -438,6 +440,10 @@ def _sweep(n, replicates, jobs):
     return stats.tree_sweep_experiment("max-is", n, replicates, seed=4, jobs=jobs)
 
 
+def _symmetry(n, replicates):
+    return stats.symmetry_experiment_mc(n, replicates, seed=4)
+
+
 #: every entry point that reads a size or count: its name, then ``.arg``
 #: when the size under test is not n -> (call by keyword, valid sizes, the
 #: least value); sample_uniform decodes in array passes from n = 500
@@ -466,6 +472,9 @@ SIZED_CALLS = {
     "tree_sweep_experiment": (_sweep, {"n": 10, "replicates": 3, "jobs": 1}, 1),
     "tree_sweep_experiment.replicates": (_sweep, {"n": 10, "replicates": 3, "jobs": 1}, 1),
     "tree_sweep_experiment.jobs": (_sweep, {"n": 10, "replicates": 3, "jobs": 1}, 1),
+    "symmetry_experiment_mc": (_symmetry, {"n": 20, "replicates": 50}, 1),
+    "symmetry_experiment_mc.replicates": (_symmetry, {"n": 20, "replicates": 50}, 1),
+    "tree_count": (tree_count, {"n": 6}, 1),
 }
 
 
@@ -1394,6 +1403,16 @@ SHAPES = {
 }
 
 
+def test_uniform_trees_settle_in_the_greedy_rounds():
+    # a uniform tree whose rounds stall still gets the right outcome, from
+    # the walk, so only this guard shows when uniform trees leave the rounds
+    rng = RandomSource(38)
+    for i, n in enumerate([100] * 200 + [10_000] * 20):
+        status = _greedy_statuses(sample_uniform(n, rng.child(i)).parent_array)
+        assert status is not None and status[1:].all(), (n, i)
+    assert _greedy_statuses(SHAPES["increasing path"].parent_array) is None
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_statistics_on_shapes_that_stall_the_rounds(shape):
     t = SHAPES[shape]
@@ -1417,7 +1436,8 @@ def _statistics(t, order):
 @pytest.mark.parametrize("share", [greedy._STALL_SHARE, 0.0])
 def test_statistics_only_read_the_parent_array(share, monkeypatch):
     # the trees' arrays are read-only, so a write would raise; share 0
-    # sends everything after the first round to the tails
+    # stalls every round that leaves an item open, which sends the greedy
+    # and the matching to their scalar forms and the max-IS to its tail
     uniform = sample_uniform(3000, RandomSource(12).child(0))
     cases = [(uniform, RandomSource(12).child(1).generator.permutation(np.arange(1, 3000)))]
     cases += [(t, np.arange(1, t.n)) for t in SHAPES.values()]
